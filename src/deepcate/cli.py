@@ -250,6 +250,9 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
 
     center = X.mean(axis=0)
     scale = X.std(axis=0, ddof=1)
+    tiny = (scale == 0.0) & (X.max(axis=0) > X.min(axis=0))  # variance underflowed: rescale first
+    peak = np.abs(X[:, tiny]).max(axis=0)
+    scale[tiny] = peak * (X[:, tiny] / peak).std(axis=0, ddof=1)
     if np.any(scale == 0.0):
         constant = [schema.feature_names[j] for j in np.where(scale == 0.0)[0]]
         raise DataError(f"constant feature columns cannot be standardized: {constant}")

@@ -24,19 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
+    Head,
     LayerSpec,
     MlpNetwork,
     TrainConfig,
-    TrainingDivergedError,
-    adam_update,
-    backward_from_output,
-    compute_loss,
     forward,
-    init_adam,
     init_network,
-    loss_gradient,
-    minibatches,
     train,
+    train_nets,
 )
 
 DROPOUT_RATE = 0.25
@@ -98,13 +93,9 @@ CateModel = SharedModel | BcfModel | NaiveModel | OlsModel
 
 
 def _mlp_specs(in_dim, hidden, out_dim, out_activation, dropout):
-    specs = []
-    d = in_dim
-    for width in hidden:
-        specs.append(LayerSpec(d, width, "relu", dropout))
-        d = width
-    specs.append(LayerSpec(d, out_dim, out_activation, 0.0))
-    return tuple(specs)
+    dims = (in_dim, *hidden)
+    specs = [LayerSpec(a, b, "relu", dropout) for a, b in zip(dims, dims[1:])]
+    return (*specs, LayerSpec(dims[-1], out_dim, out_activation, 0.0))
 
 
 def _spawn_seeds(seed: int, k: int) -> list[int]:
@@ -123,6 +114,15 @@ def _as_binary(Z, name="Z") -> np.ndarray:
     if not np.all((Z == 0.0) | (Z == 1.0)):
         raise ValueError(f"{name} must be binary 0/1")
     return Z
+
+
+def _as_outcome_data(X, Z, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    X = _as_design(X)
+    Z = _as_binary(Z)
+    Y = np.asarray(Y, dtype=np.float64).ravel()
+    if not (Z.size == X.shape[0] and Y.size == X.shape[0]):
+        raise ValueError("X, Z, Y row counts differ")
+    return X, Z, Y
 
 
 def fit_propensity(
@@ -146,6 +146,15 @@ def fit_propensity(
     return PropensityModel(net)
 
 
+# Both structured models predict alpha(x) + beta(x) * z: the shared net's
+# two output columns, or the split model's two networks.
+_SHARED_HEAD = Head(
+    lambda outs, z: outs[0][:, 0:1] + outs[0][:, 1:2] * z,
+    lambda dpred, z: (np.concatenate([dpred, dpred * z], axis=1),),
+)
+_BCF_HEAD = Head(lambda outs, z: outs[0] + outs[1] * z, lambda dpred, z: (dpred, dpred * z))
+
+
 def fit_shared(
     X, Z, Y, cfg: TrainConfig, hidden=SHARED_HIDDEN, dropout=DROPOUT_RATE
 ) -> SharedModel:
@@ -155,12 +164,7 @@ def fit_shared(
     is multiplied by z), so with z identically zero its parameters never
     move. All-treated / all-control data is permitted but flagged.
     """
-    X = _as_design(X)
-    Z = _as_binary(Z)
-    Y = np.asarray(Y, dtype=np.float64).ravel()
-    n = X.shape[0]
-    if not (Z.size == n and Y.size == n):
-        raise ValueError("X, Z, Y row counts differ")
+    X, Z, Y = _as_outcome_data(X, Z, Y)
     if Z.min() == Z.max():
         warnings.warn(
             f"degenerate treatment column (all {int(Z[0])}); effect head is unidentified",
@@ -168,22 +172,8 @@ def fit_shared(
         )
     init_seed, loop_seed = _spawn_seeds(cfg.shuffle_seed, 2)
     net = init_network(_mlp_specs(X.shape[1], hidden, 2, "identity", dropout), init_seed)
-    state = init_adam(net, cfg.lr)
-    rng = np.random.default_rng(loop_seed)
-    z = Z.reshape(-1, 1)
-    y = Y.reshape(-1, 1)
-    for epoch in range(cfg.epochs):
-        for idx in minibatches(n, cfg.batch_size, rng):
-            dropout_seed = int(rng.integers(0, 2**63 - 1))
-            out, cache = forward(net, X[idx], training=True, dropout_seed=dropout_seed)
-            pred = out[:, 0:1] + out[:, 1:2] * z[idx]
-            loss = compute_loss(pred, y[idx], "mse")
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"shared fit diverged at epoch {epoch}")
-            dpred = loss_gradient(pred, y[idx], "mse")
-            dout = np.concatenate([dpred, dpred * z[idx]], axis=1)
-            grads = backward_from_output(net, cache, dout)
-            net, state = adam_update(net, grads, state)
+    cfg = dataclasses.replace(cfg, loss="mse", shuffle_seed=loop_seed)
+    (net,), _ = train_nets([net], [X], Y.reshape(-1, 1), cfg, _SHARED_HEAD, Z.reshape(-1, 1))
     return SharedModel(net)
 
 
@@ -203,12 +193,9 @@ def fit_bcf(
     MSE on alpha(x, pi_hat) + beta(x) * z; pi_hat is precomputed by the
     caller and held fixed throughout.
     """
-    X = _as_design(X)
-    Z = _as_binary(Z)
-    Y = np.asarray(Y, dtype=np.float64).ravel()
+    X, Z, Y = _as_outcome_data(X, Z, Y)
     pi_hat = np.asarray(pi_hat, dtype=np.float64).ravel()
-    n = X.shape[0]
-    if not (Z.size == n and Y.size == n and pi_hat.size == n):
+    if pi_hat.size != X.shape[0]:
         raise ValueError("X, Z, Y, pi_hat row counts differ")
     if np.any(pi_hat <= 0.0) or np.any(pi_hat >= 1.0):
         raise ValueError("pi_hat must lie strictly inside (0, 1)")
@@ -216,27 +203,11 @@ def fit_bcf(
     d = X.shape[1]
     alpha_net = init_network(_mlp_specs(d + 1, alpha_hidden, 1, "identity", dropout), a_seed)
     beta_net = init_network(_mlp_specs(d, beta_hidden, 1, "identity", dropout), b_seed)
-    a_state = init_adam(alpha_net, cfg.lr)
-    b_state = init_adam(beta_net, cfg.lr)
-    rng = np.random.default_rng(loop_seed)
-    Xa = np.column_stack([X, pi_hat])
-    z = Z.reshape(-1, 1)
-    y = Y.reshape(-1, 1)
-    for epoch in range(cfg.epochs):
-        for idx in minibatches(n, cfg.batch_size, rng):
-            a_dropout = int(rng.integers(0, 2**63 - 1))
-            b_dropout = int(rng.integers(0, 2**63 - 1))
-            a_out, a_cache = forward(alpha_net, Xa[idx], training=True, dropout_seed=a_dropout)
-            b_out, b_cache = forward(beta_net, X[idx], training=True, dropout_seed=b_dropout)
-            pred = a_out + b_out * z[idx]
-            loss = compute_loss(pred, y[idx], "mse")
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"split fit diverged at epoch {epoch}")
-            dpred = loss_gradient(pred, y[idx], "mse")
-            a_grads = backward_from_output(alpha_net, a_cache, dpred)
-            b_grads = backward_from_output(beta_net, b_cache, dpred * z[idx])
-            alpha_net, a_state = adam_update(alpha_net, a_grads, a_state)
-            beta_net, b_state = adam_update(beta_net, b_grads, b_state)
+    cfg = dataclasses.replace(cfg, loss="mse", shuffle_seed=loop_seed)
+    inputs = [np.column_stack([X, pi_hat]), X]
+    (alpha_net, beta_net), _ = train_nets(
+        [alpha_net, beta_net], inputs, Y.reshape(-1, 1), cfg, _BCF_HEAD, Z.reshape(-1, 1)
+    )
     return BcfModel(alpha_net, beta_net)
 
 
@@ -248,12 +219,7 @@ def fit_naive(
     Each arm trains on its own subset (batch size clamped to the subset
     size); the CATE is the difference of the two predictions.
     """
-    X = _as_design(X)
-    Z = _as_binary(Z)
-    Y = np.asarray(Y, dtype=np.float64).ravel()
-    n = X.shape[0]
-    if not (Z.size == n and Y.size == n):
-        raise ValueError("X, Z, Y row counts differ")
+    X, Z, Y = _as_outcome_data(X, Z, Y)
     treated = Z == 1.0
     if treated.all() or not treated.any():
         raise ValueError("both treatment groups must be nonempty")
@@ -261,12 +227,8 @@ def fit_naive(
     nets = []
     for mask, init_seed, loop_seed in ((treated, seeds[0], seeds[2]), (~treated, seeds[1], seeds[3])):
         net = init_network(_mlp_specs(X.shape[1], hidden, 1, "identity", dropout), init_seed)
-        sub_cfg = dataclasses.replace(
-            cfg,
-            loss="mse",
-            shuffle_seed=loop_seed,
-            batch_size=min(cfg.batch_size, int(mask.sum())),
-        )
+        batch = min(cfg.batch_size, int(mask.sum()))
+        sub_cfg = dataclasses.replace(cfg, loss="mse", shuffle_seed=loop_seed, batch_size=batch)
         net, _ = train(net, X[mask], Y[mask].reshape(-1, 1), sub_cfg)
         nets.append(net)
     return NaiveModel(y1_net=nets[0], y0_net=nets[1])
@@ -278,12 +240,8 @@ def fit_ols(X, Z, Y) -> OlsModel:
     Rank deficiency falls back to the minimum-norm (pseudo-inverse)
     solution with a warning.
     """
-    X = _as_design(X)
-    Z = _as_binary(Z)
-    Y = np.asarray(Y, dtype=np.float64).ravel()
+    X, Z, Y = _as_outcome_data(X, Z, Y)
     n, d = X.shape
-    if not (Z.size == n and Y.size == n):
-        raise ValueError("X, Z, Y row counts differ")
     design = np.column_stack([np.ones(n), Z, X, X * Z[:, None]])
     coef, _, rank, _ = np.linalg.lstsq(design, Y, rcond=None)
     if rank < design.shape[1]:
@@ -363,25 +321,14 @@ def predict_propensity(model: PropensityModel, X) -> np.ndarray:
 def _net_to_dict(net: MlpNetwork) -> dict:
     return {
         "rng_seed": net.rng_seed,
-        "layers": [
-            {
-                "in_dim": s.in_dim,
-                "out_dim": s.out_dim,
-                "activation": s.activation,
-                "dropout_rate": s.dropout_rate,
-            }
-            for s in net.layers
-        ],
+        "layers": [dataclasses.asdict(s) for s in net.layers],
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
 
 
 def _net_from_dict(d: dict) -> MlpNetwork:
-    specs = tuple(
-        LayerSpec(s["in_dim"], s["out_dim"], s["activation"], s["dropout_rate"])
-        for s in d["layers"]
-    )
+    specs = tuple(LayerSpec(**s) for s in d["layers"])
     weights = tuple(np.asarray(w, dtype=np.float64) for w in d["weights"])
     biases = tuple(np.asarray(b, dtype=np.float64) for b in d["biases"])
     return MlpNetwork(specs, weights, biases, int(d["rng_seed"]))

@@ -4,12 +4,17 @@ Everything is float64 and deterministic given explicit seeds: weight
 initialization, dropout masks, and minibatch shuffling are all driven by
 caller-supplied integers. A non-finite value anywhere is an error state,
 never silently propagated.
+
+A network keeps its parameters in one flat buffer with per-layer views.
+One loop, `train_nets`, trains every model through the model's `Head`:
+backward writes into a flat gradient buffer and one fused Adam step updates
+it in place. `forward`, `backward` and `adam_update` wrap the same parts.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +26,7 @@ BCE_CLAMP = 1e-12
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training loss stopped being finite."""
+    """Training produced a non-finite network output, loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -46,17 +51,58 @@ class LayerSpec:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
+def _flatten(weights, biases) -> np.ndarray:
+    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in (*weights, *biases)])
+
+
+def _views(layers, buf: np.ndarray) -> tuple[tuple, tuple]:
+    """Weight and bias views of a buffer laid out as _flatten lays them."""
+    weights, biases, o = [], [], 0
+    for spec in layers:
+        size = spec.in_dim * spec.out_dim
+        weights.append(buf[o : o + size].reshape(spec.in_dim, spec.out_dim))
+        o += size
+    for spec in layers:
+        biases.append(buf[o : o + spec.out_dim])
+        o += spec.out_dim
+    return tuple(weights), tuple(biases)
+
+
 @dataclass(frozen=True)
 class MlpNetwork:
     """A stack of LayerSpecs with their weight matrices and bias vectors.
 
-    Treat instances as immutable; updates return new networks.
+    The constructor copies these into one new flat buffer, `params`, and
+    keeps views of it. Treat instances as immutable; updates return new
+    networks.
     """
 
     layers: tuple[LayerSpec, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     rng_seed: int
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = [np.shape(a) for a in (*self.weights, *self.biases)]
+        if shapes != [(s.in_dim, s.out_dim) for s in self.layers] + [(s.out_dim,) for s in self.layers]:
+            raise ValueError(f"weight and bias shapes {shapes} do not match the layers")
+        self._bind(_flatten(self.weights, self.biases))
+
+    def _bind(self, params: np.ndarray) -> MlpNetwork:  # frozen, so set fields via __dict__
+        weights, biases = _views(self.layers, params)
+        self.__dict__.update(params=params, weights=weights, biases=biases)
+        return self
+
+    def _over(self, params: np.ndarray) -> MlpNetwork:
+        """A network with these layers over `params`, taken, not copied."""
+        net = object.__new__(MlpNetwork)
+        net.__dict__.update(layers=self.layers, rng_seed=self.rng_seed)
+        return net._bind(params)
+
+    def __reduce__(self):
+        # rebuild through the constructor, so the views share `params` again
+        return (MlpNetwork, (self.layers, self.weights, self.biases, self.rng_seed))
 
     @property
     def in_dim(self) -> int:
@@ -67,40 +113,33 @@ class MlpNetwork:
         return self.layers[-1].out_dim
 
 
-@dataclass(frozen=True)
-class LayerCache:
+class LayerCache(NamedTuple):
     x: np.ndarray  # layer input
     z: np.ndarray  # pre-activation
     h: np.ndarray  # activation, before dropout
     mask: np.ndarray | None  # inverted-dropout mask, None when inactive
 
 
-@dataclass(frozen=True)
-class ForwardCache:
+class ForwardCache(NamedTuple):
     layers: tuple[LayerCache, ...]
     output: np.ndarray
     training: bool
 
 
-@dataclass(frozen=True)
-class Gradients:
+class Gradients(NamedTuple):
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second-moment accumulators plus the step counter."""
+    """First/second-moment accumulators, laid out like the network's
+    `params`, plus the step counter."""
 
-    m_weights: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -134,17 +173,12 @@ def init_network(specs, seed: int) -> MlpNetwork:
         raise ValueError("need at least one layer")
     for prev, nxt in zip(specs, specs[1:]):
         if prev.out_dim != nxt.in_dim:
-            raise ValueError(
-                f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-            )
+            raise ValueError(f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    weights, biases = [], []
     for spec in specs:
-        if spec.activation == "relu":
-            scale = np.sqrt(2.0 / spec.in_dim)
-        else:
-            scale = np.sqrt(2.0 / (spec.in_dim + spec.out_dim))
+        fan = spec.in_dim if spec.activation == "relu" else spec.in_dim + spec.out_dim
+        scale = np.sqrt(2.0 / fan)
         weights.append(rng.normal(0.0, scale, size=(spec.in_dim, spec.out_dim)))
         biases.append(np.zeros(spec.out_dim))
     return MlpNetwork(specs, tuple(weights), tuple(biases), int(seed))
@@ -152,7 +186,7 @@ def init_network(specs, seed: int) -> MlpNetwork:
 
 def count_params(net: MlpNetwork) -> int:
     """Total number of weights and biases: sum over layers of in*out + out."""
-    return int(sum(w.size + b.size for w, b in zip(net.weights, net.biases)))
+    return int(net.params.size)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -172,11 +206,26 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
+def _forward(net: MlpNetwork, X: np.ndarray, rng) -> tuple[np.ndarray, list[LayerCache]]:
+    """The forward pass; rng draws the dropout masks, None in eval mode."""
+    caches = []
+    a = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec, w, b in zip(net.layers, net.weights, net.biases):
+            z = a @ w + b
+            h = _activate(z, spec.activation)
+            mask = None
+            if rng is not None and spec.dropout_rate > 0.0:
+                mask = (rng.random(h.shape) >= spec.dropout_rate) / (1.0 - spec.dropout_rate)
+            caches.append(LayerCache(a, z, h, mask))
+            a = h if mask is None else h * mask
+    if not np.isfinite(a).all():
+        raise FloatingPointError("non-finite network output")
+    return a, caches
+
+
 def forward(
-    net: MlpNetwork,
-    X: np.ndarray,
-    training: bool = False,
-    dropout_seed: int | None = None,
+    net: MlpNetwork, X: np.ndarray, training: bool = False, dropout_seed: int | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a row-major batch.
 
@@ -190,23 +239,8 @@ def forward(
     if X.shape[1] != net.in_dim:
         raise ValueError(f"X has {X.shape[1]} columns, network expects {net.in_dim}")
     rng = np.random.default_rng(dropout_seed) if training else None
-    caches = []
-    a = X
-    with np.errstate(over="ignore", invalid="ignore"):
-        for spec, w, b in zip(net.layers, net.weights, net.biases):
-            z = a @ w + b
-            h = _activate(z, spec.activation)
-            mask = None
-            out = h
-            if training and spec.dropout_rate > 0.0:
-                keep = 1.0 - spec.dropout_rate
-                mask = (rng.random(h.shape) >= spec.dropout_rate) / keep
-                out = h * mask
-            caches.append(LayerCache(a, z, h, mask))
-            a = out
-    if not np.isfinite(a).all():
-        raise FloatingPointError("non-finite network output")
-    return a, ForwardCache(tuple(caches), a, training)
+    out, caches = _forward(net, X, rng)
+    return out, ForwardCache(tuple(caches), out, training)
 
 
 def compute_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
@@ -241,109 +275,81 @@ def loss_gradient(pred: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray
     raise ValueError(f"unknown loss {kind!r}")
 
 
-def _activation_grad(cache: LayerCache, kind: str) -> np.ndarray | None:
-    if kind == "relu":
-        return (cache.z > 0.0).astype(np.float64)
-    if kind == "sigmoid":
-        return cache.h * (1.0 - cache.h)
-    return None  # identity
+def _backward(net: MlpNetwork, caches, dout: np.ndarray, grad_weights, grad_biases) -> None:
+    """Backpropagate dout through the cached pass into the gradient views."""
+    g = dout
+    for i in range(len(net.layers) - 1, -1, -1):
+        lc = caches[i]
+        if lc.mask is not None:
+            g = g * lc.mask
+        if net.layers[i].activation == "relu":
+            g = g * (lc.z > 0.0).astype(np.float64)
+        elif net.layers[i].activation == "sigmoid":
+            g = g * (lc.h * (1.0 - lc.h))
+        np.matmul(lc.x.T, g, out=grad_weights[i])
+        g.sum(axis=0, out=grad_biases[i])
+        if i > 0:
+            g = g @ net.weights[i].T
 
 
-def backward_from_output(
-    net: MlpNetwork, cache: ForwardCache, dout: np.ndarray
-) -> Gradients:
+def backward_from_output(net: MlpNetwork, cache: ForwardCache, dout: np.ndarray) -> Gradients:
     """Backpropagate an arbitrary output gradient through the cached pass.
 
     dout is d(loss)/d(network output), shaped like the forward output.
-    Dropout masks recorded in the cache are respected.
+    Dropout masks recorded in the cache are respected. The gradients are
+    views of one new flat buffer laid out like `net.params`.
     """
     if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network depth")
     dout = np.asarray(dout, dtype=np.float64)
     if dout.shape != cache.output.shape:
         raise ValueError("dout shape does not match cached output")
-    n_layers = len(net.layers)
-    g_weights: list[np.ndarray | None] = [None] * n_layers
-    g_biases: list[np.ndarray | None] = [None] * n_layers
-    g = dout
-    for i in range(n_layers - 1, -1, -1):
-        spec = net.layers[i]
-        lc = cache.layers[i]
+    for spec, lc in zip(net.layers, cache.layers):
         if lc.x.shape[1] != spec.in_dim or lc.z.shape[1] != spec.out_dim:
             raise ValueError("cache does not match network shapes")
-        if lc.mask is not None:
-            g = g * lc.mask
-        act_grad = _activation_grad(lc, spec.activation)
-        if act_grad is not None:
-            g = g * act_grad
-        g_weights[i] = lc.x.T @ g
-        g_biases[i] = g.sum(axis=0)
-        if i > 0:
-            g = g @ net.weights[i].T
-    return Gradients(tuple(g_weights), tuple(g_biases))
+    grad_weights, grad_biases = _views(net.layers, np.empty_like(net.params))
+    _backward(net, cache.layers, dout, grad_weights, grad_biases)
+    return Gradients(grad_weights, grad_biases)
 
 
-def backward(
-    net: MlpNetwork, cache: ForwardCache, target: np.ndarray, kind: str
-) -> Gradients:
+def backward(net: MlpNetwork, cache: ForwardCache, target: np.ndarray, kind: str) -> Gradients:
     """Gradients of the scalar loss with respect to every weight and bias."""
-    target = np.asarray(target, dtype=np.float64)
-    dout = loss_gradient(cache.output, target, kind)
-    return backward_from_output(net, cache, dout)
+    return backward_from_output(net, cache, loss_gradient(cache.output, target, kind))
+
+
+def _adam_step(params, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """One bias-corrected Adam step over flat buffers, in place. Each entry
+    gets p - lr * (m / c1) / (sqrt(v / c2) + eps), in that order."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    step = m / c1
+    step *= lr
+    denom = v / c2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params -= step
 
 
 def init_adam(net: MlpNetwork, lr: float) -> AdamState:
-    def zeros(params):
-        return tuple(np.zeros_like(p) for p in params)
-
-    return AdamState(
-        m_weights=zeros(net.weights),
-        v_weights=zeros(net.weights),
-        m_biases=zeros(net.biases),
-        v_biases=zeros(net.biases),
-        t=0,
-        lr=lr,
-    )
+    return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params), t=0, lr=lr)
 
 
-def adam_update(
-    net: MlpNetwork, grads: Gradients, state: AdamState
-) -> tuple[MlpNetwork, AdamState]:
-    """One bias-corrected Adam step; returns the updated network and state."""
-    for g in (*grads.weights, *grads.biases):
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
-    t = state.t + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-
-    def step(param, g, m, v):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * g
-        v_new = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p_new = param - state.lr * (m_new / c1) / (np.sqrt(v_new / c2) + state.eps)
-        return p_new, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(net.weights, grads.weights, state.m_weights, state.v_weights):
-        p2, m2, v2 = step(p, g, m, v)
-        new_w.append(p2)
-        new_mw.append(m2)
-        new_vw.append(v2)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(net.biases, grads.biases, state.m_biases, state.v_biases):
-        p2, m2, v2 = step(p, g, m, v)
-        new_b.append(p2)
-        new_mb.append(m2)
-        new_vb.append(v2)
-    net2 = dataclasses.replace(net, weights=tuple(new_w), biases=tuple(new_b))
-    state2 = dataclasses.replace(
-        state,
-        m_weights=tuple(new_mw),
-        v_weights=tuple(new_vw),
-        m_biases=tuple(new_mb),
-        v_biases=tuple(new_vb),
-        t=t,
-    )
+def adam_update(net: MlpNetwork, grads: Gradients, state: AdamState) -> tuple[MlpNetwork, AdamState]:
+    """One bias-corrected Adam step; returns the updated network and state,
+    leaving the given ones as they are."""
+    grad = _flatten(grads.weights, grads.biases)
+    if grad.shape != net.params.shape:
+        raise ValueError("gradients do not match the network")
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient")
+    net2 = net._over(net.params.copy())
+    state2 = AdamState(state.m.copy(), state.v.copy(), state.t + 1, state.lr)
+    _adam_step(net2.params, grad, state2.m, state2.v, state2.t, state.lr)
     return net2, state2
 
 
@@ -354,44 +360,88 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.nd
     return [perm[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
-def train(
-    net: MlpNetwork, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
-) -> tuple[MlpNetwork, list[float]]:
-    """Minibatch Adam training of net(X) against y under cfg.loss.
+class Head(NamedTuple):
+    """predict(outs, z) maps the networks' batch outputs and the batch's
+    treatment column (or None) to the prediction; split(dpred, z) maps
+    d(loss)/d(prediction) back to one output gradient per network."""
 
-    Shuffling and per-batch dropout masks all derive from cfg.shuffle_seed,
-    so two calls with identical inputs produce bit-identical results.
-    Returns the trained network and the per-epoch mean sample loss.
+    predict: Callable
+    split: Callable
+
+
+IDENTITY_HEAD = Head(lambda outs, z: outs[0], lambda dpred, z: (dpred,))
+
+
+class _Trainee:
+    """A private copy of a network, trained in place, and its gradient and Adam buffers."""
+
+    def __init__(self, net: MlpNetwork):
+        self.net = net._over(net.params.copy())
+        self.grad, self.m, self.v = (np.zeros_like(self.net.params) for _ in range(3))
+        self.grad_weights, self.grad_biases = _views(net.layers, self.grad)
+
+
+def train_nets(
+    nets, inputs, y: np.ndarray, cfg: TrainConfig, head: Head = IDENTITY_HEAD, z=None
+) -> tuple[tuple[MlpNetwork, ...], list[float]]:
+    """Minibatch Adam training of head(nets[k](inputs[k]) for each k, z)
+    against y under cfg.loss.
+
+    One generator, seeded by cfg.shuffle_seed, shuffles the rows and draws
+    one dropout seed per network and step, so identical inputs give
+    bit-identical results. A non-finite output, loss or gradient raises
+    TrainingDivergedError naming the epoch. Returns new networks, sharing
+    no memory with the given ones, and the per-epoch mean sample loss.
     """
-    X = np.asarray(X, dtype=np.float64)
+    inputs = [np.asarray(X, dtype=np.float64) for X in inputs]
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 2:
+    if y.ndim != 2 or any(X.ndim != 2 for X in inputs):
         raise ValueError("X and y must be 2-D")
-    n = X.shape[0]
+    n = y.shape[0]
     if n < 1:
         raise ValueError("empty training data")
-    if y.shape[0] != n:
-        raise ValueError(f"row mismatch: X has {n}, y has {y.shape[0]}")
-    if cfg.batch_size > n:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds n={n}")
+    for net, X in zip(nets, inputs):
+        if X.shape != (n, net.in_dim):
+            raise ValueError(f"X has shape {X.shape}, expected ({n}, {net.in_dim})")
+    trainees = [_Trainee(net) for net in nets]
     rng = np.random.default_rng(cfg.shuffle_seed)
-    state = init_adam(net, cfg.lr)
+    t = 0
     history = []
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for idx in minibatches(n, cfg.batch_size, rng):
-            dropout_seed = int(rng.integers(0, 2**63 - 1))
-            try:
-                out, cache = forward(net, X[idx], training=True, dropout_seed=dropout_seed)
+            try:  # one dropout seed per network, drawn in network order
+                passes = [
+                    _forward(tr.net, X[idx], np.random.default_rng(int(rng.integers(0, 2**63 - 1))))
+                    for tr, X in zip(trainees, inputs)
+                ]
             except FloatingPointError as exc:
                 raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
-            loss = compute_loss(out, y[idx], cfg.loss)
+            zb = None if z is None else z[idx]
+            pred = head.predict([out for out, _ in passes], zb)
+            loss = compute_loss(pred, y[idx], cfg.loss)
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch} (loss={loss})"
-                )
-            grads = backward(net, cache, y[idx], cfg.loss)
-            net, state = adam_update(net, grads, state)
+                raise TrainingDivergedError(f"epoch {epoch}: non-finite loss ({loss})")
+            douts = head.split(loss_gradient(pred, y[idx], cfg.loss), zb)
+            for tr, (_, caches), dout in zip(trainees, passes, douts):
+                _backward(tr.net, caches, dout, tr.grad_weights, tr.grad_biases)
+                if not np.isfinite(tr.grad).all():
+                    raise TrainingDivergedError(f"epoch {epoch}: non-finite gradient")
+            t += 1
+            for tr in trainees:
+                _adam_step(tr.net.params, tr.grad, tr.m, tr.v, t, cfg.lr)
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / n)
+    return tuple(tr.net._over(tr.net.params.copy()) for tr in trainees), history
+
+
+def train(
+    net: MlpNetwork, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
+) -> tuple[MlpNetwork, list[float]]:
+    """Minibatch Adam training of net(X) against y under cfg.loss (see
+    train_nets); returns the trained network and the per-epoch mean loss."""
+    n = np.shape(X)[0]
+    if cfg.batch_size > n > 0:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds n={n}")
+    (net,), history = train_nets([net], [X], y, cfg)
     return net, history

@@ -83,6 +83,17 @@ class TestLoadDataset:
             data.X[:, 0], [-0.7071067811865475, 0.7071067811865475], atol=1e-12
         )
 
+    def test_tiny_but_distinct_values_are_standardized(self, tmp_path):
+        # a spread below ~1e-154 underflows the variance to 0, yet the
+        # column is not constant
+        values = [0.0, 3.8599644276202956e-176, 1.936618852520125e-268, 4.560644133431499e-274]
+        path = tmp_path / "toy.csv"
+        rows = [[v, i, "yes" if i % 2 else "no", i] for i, v in enumerate(values)]
+        write_csv(path, ["a", "b", "z", "y"], rows)
+        data = cli.load_dataset(path, toy_schema())
+        assert data.X[:, 0].std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(data.raw_features()[:, 0], values, rtol=1e-10, atol=1e-186)
+
     def test_inverse_transform_round_trips(self):
         data = cli.load_dataset(FIXTURE, cli.load_schema(SCHEMA))
         raw = data.raw_features()
