@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,23 +29,20 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (
-    METHODS,
+    METHOD_CODES,
     ExperimentConfig,
     TrainSettings,
+    canonical_methods,
+    check_train_settings,
+    check_tree_settings,
     derive_seed,
+    fit_method,
     fit_moderator_tree,
     run_experiment,
+    train_config,
 )
 from .metrics import ResultsTable, read_results_csv, write_results_csv
-from .models import (
-    fit_bcf,
-    fit_naive,
-    fit_shared,
-    fit_propensity,
-    predict_cate,
-    predict_prognostic,
-    predict_propensity,
-)
+from .models import fit_propensity, predict_cate, predict_prognostic, predict_propensity
 from .nn import TrainConfig
 
 EXIT_OK = 0
@@ -281,23 +279,18 @@ class AnalyzeConfig:
     schema: str
     out_dir: str = "out"
     seed: int = 0
-    epochs: int = 250
+    epochs: int = TrainConfig.epochs
     propensity_epochs: int = 100
-    batch_size: int = 64
-    lr: float = 0.001
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
     methods: tuple[str, ...] = ANALYZE_METHODS
     tree_depth: int = 2
     tree_min_leaf: int = 10
 
     def __post_init__(self):
-        unknown = set(self.methods) - set(ANALYZE_METHODS)
-        if unknown:
-            raise ConfigError(f"analyze supports methods {ANALYZE_METHODS}, got {sorted(unknown)}")
-        if not self.methods:
-            raise ConfigError("need at least one method")
-        object.__setattr__(
-            self, "methods", tuple(m for m in ANALYZE_METHODS if m in set(self.methods))
-        )
+        check_train_settings(self, self.propensity_epochs)
+        check_tree_settings(self.tree_depth, self.tree_min_leaf)
+        object.__setattr__(self, "methods", canonical_methods(self.methods, ANALYZE_METHODS))
 
 
 @dataclass(frozen=True)
@@ -331,36 +324,12 @@ def run_sleep_analysis(data: StandardizedDataset, cfg: AnalyzeConfig) -> SleepAn
     prognosis-vs-propensity scatter come from the split model when fitted,
     else from the first fitted method.
     """
-    n = data.n
-    batch = min(cfg.batch_size, n)
-    seeds = {
-        m: derive_seed(cfg.seed, i + 1) for i, m in enumerate(ANALYZE_METHODS)
-    }
-    prop_cfg = TrainConfig(
-        epochs=cfg.propensity_epochs,
-        batch_size=batch,
-        loss="bce",
-        lr=cfg.lr,
-        shuffle_seed=derive_seed(cfg.seed, 99),
-    )
-    propensity = fit_propensity(data.X, data.Z, prop_cfg)
-    pi_hat = predict_propensity(propensity, data.X)
-
+    prop_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, 99), cfg.propensity_epochs)
+    pi_hat = predict_propensity(fit_propensity(data.X, data.Z, prop_cfg), data.X)
     models = {}
     for method in cfg.methods:
-        fit_cfg = TrainConfig(
-            epochs=cfg.epochs,
-            batch_size=batch,
-            loss="mse",
-            lr=cfg.lr,
-            shuffle_seed=seeds[method],
-        )
-        if method == "shared":
-            models[method] = fit_shared(data.X, data.Z, data.Y, fit_cfg)
-        elif method == "bcf":
-            models[method] = fit_bcf(data.X, data.Z, data.Y, pi_hat, fit_cfg)
-        else:
-            models[method] = fit_naive(data.X, data.Z, data.Y, fit_cfg)
+        fit_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, METHOD_CODES[method]))
+        models[method] = fit_method(method, data.X, data.Z, data.Y, fit_cfg, pi_hat)
 
     rows = []
     cate_by_method = {}
@@ -393,26 +362,6 @@ def run_sleep_analysis(data: StandardizedDataset, cfg: AnalyzeConfig) -> SleepAn
     )
 
 
-def _tree_text_raw_units(tree, data: StandardizedDataset) -> str:
-    """Render the tree with thresholds mapped back to raw feature units."""
-    lines = []
-
-    def walk(node, indent):
-        pad = "    " * indent
-        if node.is_leaf:
-            lines.append(f"{pad}predict {node.value:.4f}  (n={node.n})")
-            return
-        j = node.feature
-        raw = node.threshold * data.feature_scale[j] + data.feature_center[j]
-        lines.append(f"{pad}if {data.feature_names[j]} <= {raw:.4f}:")
-        walk(node.left, indent + 1)
-        lines.append(f"{pad}else:")
-        walk(node.right, indent + 1)
-
-    walk(tree.root, 0)
-    return "\n".join(lines) + "\n"
-
-
 def write_analysis_outputs(analysis: SleepAnalysis, data: StandardizedDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -438,7 +387,13 @@ def write_analysis_outputs(analysis: SleepAnalysis, data: StandardizedDataset, o
             f"effect summary tree ({analysis.tree_method} estimates; thresholds in "
             "raw feature units, predictions on the standardized outcome)\n"
         )
-        fh.write(_tree_text_raw_units(analysis.tree, data))
+        fh.write(
+            analysis.tree.to_text(
+                data.feature_names,
+                4,
+                lambda j, t: t * data.feature_scale[j] + data.feature_center[j],
+            )
+        )
     with open(out / "moderator_tree.json", "w", encoding="utf-8") as fh:
         fh.write(analysis.tree.to_json())
         fh.write("\n")
@@ -548,81 +503,60 @@ def _typed(parser):
     return wrap
 
 
-# key -> parser, per mode; config-file keys and flag names coincide
+class _Key:
+    """One config key: its parser, the RunConfig attribute paths its value
+    sets (the first is echoed), and a default for when the dataclass that
+    holds it has none."""
+
+    def __init__(self, parse, *targets: str, default=None):
+        self.parse, self.targets, self.default = parse, targets, default
+
+
+# key -> _Key, per mode; config-file keys and flag names coincide, and the
+# echo lists the keys in this order
 _KEYS = {
     "simulate": {
-        "regime": str,
-        "n": _parse_int_list,
-        "trials": _typed(int),
-        "test_size": _typed(int),
-        "methods": _parse_str_list,
-        "seed": _typed(int),
-        "kappa": _typed(float),
-        "threads": _typed(int),
-        "epochs": _typed(int),
-        "batch_size": _typed(int),
-        "lr": _typed(float),
-        "propensity_epochs": _typed(int),
-        "redraw_z": _parse_bool,
-        "standardize_y": _parse_bool,
-        "out_dir": str,
+        "regime": _Key(str, "experiment.regime", default="small"),
+        "n": _Key(_parse_int_list, "experiment.sample_sizes", default=(250, 500, 1000)),
+        "trials": _Key(_typed(int), "experiment.n_trials", default=100),
+        "test_size": _Key(_typed(int), "experiment.test_size"),
+        "methods": _Key(_parse_str_list, "experiment.methods"),
+        "seed": _Key(_typed(int), "experiment.base_seed"),
+        "kappa": _Key(_typed(float), "experiment.kappa"),
+        "threads": _Key(_typed(int), "experiment.parallelism"),
+        "epochs": _Key(_typed(int), "experiment.train.epochs"),
+        "batch_size": _Key(_typed(int), "experiment.train.batch_size"),
+        "lr": _Key(_typed(float), "experiment.train.lr"),
+        "propensity_epochs": _Key(_typed(int), "experiment.train.propensity_epochs"),
+        "redraw_z": _Key(_parse_bool, "experiment.redraw_z"),
+        "standardize_y": _Key(_parse_bool, "experiment.train.standardize_y"),
+        "out_dir": _Key(str, "out_dir", default="out"),
     },
     "analyze": {
-        "data": str,
-        "schema": str,
-        "seed": _typed(int),
-        "epochs": _typed(int),
-        "propensity_epochs": _typed(int),
-        "batch_size": _typed(int),
-        "lr": _typed(float),
-        "methods": _parse_str_list,
-        "tree_depth": _typed(int),
-        "tree_min_leaf": _typed(int),
-        "out_dir": str,
+        "data": _Key(str, "analyze.data"),
+        "schema": _Key(str, "analyze.schema"),
+        "seed": _Key(_typed(int), "analyze.seed"),
+        "epochs": _Key(_typed(int), "analyze.epochs"),
+        "propensity_epochs": _Key(_typed(int), "analyze.propensity_epochs"),
+        "batch_size": _Key(_typed(int), "analyze.batch_size"),
+        "lr": _Key(_typed(float), "analyze.lr"),
+        "methods": _Key(_parse_str_list, "analyze.methods"),
+        "tree_depth": _Key(_typed(int), "analyze.tree_depth"),
+        "tree_min_leaf": _Key(_typed(int), "analyze.tree_min_leaf"),
+        "out_dir": _Key(str, "out_dir", "analyze.out_dir", default="out"),
     },
     "report": {
-        "results": str,
-        "format": _parse_str_list,
-        "out_dir": str,
+        "results": _Key(str, "results_path"),
+        "format": _Key(_parse_str_list, "report_formats"),
+        "out_dir": _Key(str, "out_dir", default="out"),
     },
 }
 
-_DEFAULTS = {
-    "simulate": {
-        "regime": "small",
-        "n": (250, 500, 1000),
-        "trials": 100,
-        "test_size": 10_000,
-        "methods": METHODS,
-        "seed": 0,
-        "kappa": 1.0,
-        "threads": 1,
-        "epochs": 250,
-        "batch_size": 64,
-        "lr": 0.001,
-        "propensity_epochs": None,
-        "redraw_z": True,
-        "standardize_y": False,
-        "out_dir": "out",
-    },
-    "analyze": {
-        "data": None,
-        "schema": None,
-        "seed": 0,
-        "epochs": 250,
-        "propensity_epochs": 100,
-        "batch_size": 64,
-        "lr": 0.001,
-        "methods": ANALYZE_METHODS,
-        "tree_depth": 2,
-        "tree_min_leaf": 10,
-        "out_dir": "out",
-    },
-    "report": {
-        "results": None,
-        "format": ("csv", "markdown"),
-        "out_dir": "out",
-    },
+# RunConfig attribute path -> the settings dataclass built there, innermost first
+_SECTIONS = {
+    "experiment.train": TrainSettings,
+    "experiment": ExperimentConfig,
+    "analyze": AnalyzeConfig,
 }
 
 _REQUIRED = {"simulate": (), "analyze": ("data", "schema"), "report": ("results",)}
@@ -676,60 +610,30 @@ def parse_config(argv) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys for {mode}: {sorted(unknown)}")
 
-    values = dict(_DEFAULTS[mode])
-    for key, parser_fn in keys.items():
+    values = {}
+    for key, spec in keys.items():
         raw = getattr(ns, key)
         if raw is None:
             raw = file_values.get(key)
-        if raw is None:
-            continue
-        values[key] = parser_fn(raw)
+        values[key] = spec.default if raw is None else spec.parse(raw)
     for key in _REQUIRED[mode]:
         if values[key] is None:
             raise ConfigError(f"{mode} requires --{key.replace('_', '-')}")
 
+    # unset values are left out, so each dataclass applies its own default
+    kwargs = {"": {"mode": mode}}
+    for key, value in values.items():
+        for target in keys[key].targets:
+            section, _, attr = target.rpartition(".")
+            fields = kwargs.setdefault(section, {})
+            if value is not None:
+                fields[attr] = value
     try:
-        if mode == "simulate":
-            experiment = ExperimentConfig(
-                sample_sizes=values["n"],
-                n_trials=values["trials"],
-                regime=values["regime"],
-                test_size=values["test_size"],
-                kappa=values["kappa"],
-                methods=tuple(values["methods"]),
-                base_seed=values["seed"],
-                parallelism=values["threads"],
-                redraw_z=values["redraw_z"],
-                train=TrainSettings(
-                    epochs=values["epochs"],
-                    batch_size=values["batch_size"],
-                    lr=values["lr"],
-                    propensity_epochs=values["propensity_epochs"],
-                    standardize_y=values["standardize_y"],
-                ),
-            )
-            return RunConfig(mode=mode, out_dir=values["out_dir"], experiment=experiment)
-        if mode == "analyze":
-            analyze = AnalyzeConfig(
-                data=values["data"],
-                schema=values["schema"],
-                out_dir=values["out_dir"],
-                seed=values["seed"],
-                epochs=values["epochs"],
-                propensity_epochs=values["propensity_epochs"],
-                batch_size=values["batch_size"],
-                lr=values["lr"],
-                methods=tuple(values["methods"]),
-                tree_depth=values["tree_depth"],
-                tree_min_leaf=values["tree_min_leaf"],
-            )
-            return RunConfig(mode=mode, out_dir=values["out_dir"], analyze=analyze)
-        return RunConfig(
-            mode=mode,
-            out_dir=values["out_dir"],
-            results_path=values["results"],
-            report_formats=tuple(values["format"]),
-        )
+        for section, cls in _SECTIONS.items():
+            if section in kwargs:
+                parent, _, attr = section.rpartition(".")
+                kwargs[parent][attr] = cls(**kwargs.pop(section))
+        return RunConfig(**kwargs[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -738,48 +642,15 @@ def effective_config_text(cfg: RunConfig) -> str:
     """Render the full effective configuration in the config-file grammar
     (a file that parses back to exactly this configuration)."""
     lines = [f"mode = {cfg.mode}"]
-
-    def add(key, value):
+    for key, spec in _KEYS[cfg.mode].items():
+        value = operator.attrgetter(spec.targets[0])(cfg)
         if value is None:
-            return
+            continue
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
-
-    if cfg.mode == "simulate":
-        e = cfg.experiment
-        add("regime", e.regime)
-        add("n", e.sample_sizes)
-        add("trials", e.n_trials)
-        add("test_size", e.test_size)
-        add("methods", e.methods)
-        add("seed", e.base_seed)
-        add("kappa", e.kappa)
-        add("threads", e.parallelism)
-        add("epochs", e.train.epochs)
-        add("batch_size", e.train.batch_size)
-        add("lr", e.train.lr)
-        add("propensity_epochs", e.train.propensity_epochs)
-        add("redraw_z", e.redraw_z)
-        add("standardize_y", e.train.standardize_y)
-    elif cfg.mode == "analyze":
-        a = cfg.analyze
-        add("data", a.data)
-        add("schema", a.schema)
-        add("seed", a.seed)
-        add("epochs", a.epochs)
-        add("propensity_epochs", a.propensity_epochs)
-        add("batch_size", a.batch_size)
-        add("lr", a.lr)
-        add("methods", a.methods)
-        add("tree_depth", a.tree_depth)
-        add("tree_min_leaf", a.tree_min_leaf)
-    else:
-        add("results", cfg.results_path)
-        add("format", cfg.report_formats)
-    add("out_dir", cfg.out_dir)
     return "\n".join(lines) + "\n"
 
 
@@ -796,13 +667,6 @@ def write_effective_config(cfg: RunConfig) -> None:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SystemExit as exc:  # argparse usage/--help paths
-        return int(exc.code or 0)
-
-    try:
         if cfg.mode == "simulate":
             write_effective_config(cfg)
             table = run_experiment(cfg.experiment, out_dir=cfg.out_dir)
@@ -820,6 +684,8 @@ def main(argv=None) -> int:
                 raise DataError(f"cannot read results {cfg.results_path}: {exc}") from exc
             write_effective_config(cfg)
             emit_report(table, cfg.out_dir, formats=cfg.report_formats)
+    except SystemExit as exc:  # argparse usage/--help paths
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

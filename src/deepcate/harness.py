@@ -25,7 +25,7 @@ import json
 import logging
 import time
 from pathlib import Path
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .nn import TrainConfig
 log = logging.getLogger(__name__)
 
 METHODS = ("shared", "bcf", "naive", "ols")
-_METHOD_CODES = {"shared": 1, "bcf": 2, "naive": 3, "ols": 4}
+METHOD_CODES = {"shared": 1, "bcf": 2, "naive": 3, "ols": 4}
 _DESIGN_STREAM = 11
 _EVAL_STREAM = 12
 _Z_STREAM = 13
@@ -63,7 +63,7 @@ def derive_seed(*fields: int) -> int:
 
 
 def trial_seed(base_seed: int, n: int, method: str, trial_index: int) -> int:
-    return derive_seed(base_seed, n, _METHOD_CODES[method], trial_index)
+    return derive_seed(base_seed, n, METHOD_CODES[method], trial_index)
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,50 @@ class TrainSettings:
     how large the treatment effects are.
     """
 
-    epochs: int = 250
-    batch_size: int = 64
-    lr: float = 0.001
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
     propensity_epochs: int | None = None  # None -> same as epochs
     standardize_y: bool = False
 
+    def __post_init__(self):
+        check_train_settings(self, self.resolved_propensity_epochs())
+
     def resolved_propensity_epochs(self) -> int:
         return self.epochs if self.propensity_epochs is None else self.propensity_epochs
+
+
+def train_config(settings, n: int, seed: int, epochs: int | None = None) -> TrainConfig:
+    """The TrainConfig of one fit on n rows: the settings' epochs (or the
+    given ones) and lr, with the batch size clamped to n. settings is a
+    TrainSettings or anything with epochs, batch_size and lr."""
+    return TrainConfig(
+        epochs=settings.epochs if epochs is None else epochs,
+        batch_size=min(settings.batch_size, n),
+        lr=settings.lr,
+        shuffle_seed=seed,
+    )
+
+
+def check_train_settings(settings, propensity_epochs: int) -> None:
+    """Raise ValueError unless train_config accepts settings for the
+    outcome fits and, with propensity_epochs, for the propensity fit."""
+    train_config(settings, settings.batch_size, 0)
+    try:
+        train_config(settings, settings.batch_size, 0, propensity_epochs)
+    except ValueError as exc:
+        raise ValueError(f"propensity {exc}") from None
+
+
+def canonical_methods(methods, supported: tuple[str, ...]) -> tuple[str, ...]:
+    """methods in supported's order, without duplicates; ValueError when
+    one is unknown or none is given."""
+    unknown = set(methods) - set(supported)
+    if unknown:
+        raise ValueError(f"unknown methods: {sorted(unknown)} (supported: {supported})")
+    if not methods:
+        raise ValueError("need at least one method")
+    return tuple(m for m in supported if m in set(methods))
 
 
 @dataclass(frozen=True)
@@ -110,17 +146,9 @@ class ExperimentConfig:
             raise ValueError("test_size must be >= 1")
         if self.regime not in dgp.REGIMES:
             raise ValueError(f"regime must be one of {dgp.REGIMES}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if not self.methods:
-            raise ValueError("need at least one method")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        # canonical, duplicate-free method order
-        object.__setattr__(
-            self, "methods", tuple(m for m in METHODS if m in set(self.methods))
-        )
+        object.__setattr__(self, "methods", canonical_methods(self.methods, METHODS))
 
 
 @dataclass(frozen=True)
@@ -163,34 +191,23 @@ class TrialFailedError(RuntimeError):
     """A single trial could not be completed (e.g. training diverged)."""
 
 
-def _fit_method(method, X, Z, Y, settings: TrainSettings, fit_seed: int):
-    n = X.shape[0]
-    batch = min(settings.batch_size, n)
+def fit_method(method: str, X, Z, Y, cfg: TrainConfig, pi_hat=None):
+    """Fit one estimator; bcf takes the propensity estimate pi_hat.
+
+    The fits are looked up among this module's names at each call, never
+    through a table of function objects, so a wrapped or replaced
+    harness.fit_* is the one that runs.
+    """
     if method == "ols":
         return fit_ols(X, Z, Y)
-    cfg = TrainConfig(
-        epochs=settings.epochs,
-        batch_size=batch,
-        loss="mse",
-        lr=settings.lr,
-        shuffle_seed=fit_seed,
-    )
     if method == "shared":
         return fit_shared(X, Z, Y, cfg)
     if method == "naive":
         return fit_naive(X, Z, Y, cfg)
     if method == "bcf":
-        prop_seed, outcome_seed = (derive_seed(fit_seed, 1), derive_seed(fit_seed, 2))
-        prop_cfg = TrainConfig(
-            epochs=settings.resolved_propensity_epochs(),
-            batch_size=batch,
-            loss="bce",
-            lr=settings.lr,
-            shuffle_seed=prop_seed,
-        )
-        prop = fit_propensity(X, Z, prop_cfg)
-        pi_hat = predict_propensity(prop, X)
-        return fit_bcf(X, Z, Y, pi_hat, replace(cfg, shuffle_seed=outcome_seed))
+        if pi_hat is None:
+            raise ValueError("bcf needs pi_hat")
+        return fit_bcf(X, Z, Y, pi_hat, cfg)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -211,7 +228,7 @@ def run_trial(
     trial_seed drives everything stochastic: the treatment draw (unless
     fixed_z is supplied), the outcome noise, network initialization,
     dropout, and shuffling. Runtime covers the fit only (for bcf that
-    includes its propensity stage).
+    includes its propensity stage, seeded apart from its outcome fit).
     """
     settings = settings or TrainSettings()
     truth = truth if truth is not None else regime_truth(regime)
@@ -236,7 +253,13 @@ def run_trial(
         y_scale = float(Y.std(ddof=1))
         Y = (Y - Y.mean()) / y_scale
     t0 = time.perf_counter()
-    model = _fit_method(method, X_train, Z, Y, settings, fit_seed)
+    pi_hat = None
+    if method == "bcf":
+        prop_epochs = settings.resolved_propensity_epochs()
+        prop_cfg = train_config(settings, n, derive_seed(fit_seed, 1), prop_epochs)
+        pi_hat = predict_propensity(fit_propensity(X_train, Z, prop_cfg), X_train)
+        fit_seed = derive_seed(fit_seed, 2)
+    model = fit_method(method, X_train, Z, Y, train_config(settings, n, fit_seed), pi_hat)
     runtime = time.perf_counter() - t0
     beta_hat = predict_cate(model, test_sample.X) * y_scale
     if not np.isfinite(beta_hat).all():
@@ -362,16 +385,12 @@ def write_experiment_outputs(table: ResultsTable, records: list[TrialRecord], ou
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(table, out / "results.csv")
-    with open(out / "bias_vs_n.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["method", "n", "regime", "mean_abs_bias"])
-        for r in table.rows:
-            w.writerow([r.method, r.n, r.regime, repr(r.mean_abs_bias)])
-    with open(out / "rmse_vs_n.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["method", "n", "regime", "mean_rmse"])
-        for r in table.rows:
-            w.writerow([r.method, r.n, r.regime, repr(r.mean_rmse)])
+    for name, column in (("bias_vs_n.csv", "mean_abs_bias"), ("rmse_vs_n.csv", "mean_rmse")):
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["method", "n", "regime", column])
+            for r in table.rows:
+                w.writerow([r.method, r.n, r.regime, repr(getattr(r, column))])
     # long format: one row per completed trial, so per-trial method pairs
     # (e.g. shared vs bcf bias) can be pivoted out per (n, trial_index)
     with open(out / "trial_scatter.csv", "w", newline="", encoding="utf-8") as fh:
@@ -456,7 +475,10 @@ class ModeratorTree:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    def to_text(self, feature_names=None) -> str:
+    def to_text(self, feature_names=None, digits: int = 6, unscale=None) -> str:
+        """Nested if/else rendering; unscale(j, t), when given, maps feature
+        j's threshold t to the units printed."""
+
         def name(j):
             return feature_names[j] if feature_names is not None else f"x{j + 1}"
 
@@ -465,9 +487,10 @@ class ModeratorTree:
         def walk(node, indent):
             pad = "    " * indent
             if node.is_leaf:
-                lines.append(f"{pad}predict {node.value:.6f}  (n={node.n})")
+                lines.append(f"{pad}predict {node.value:.{digits}f}  (n={node.n})")
                 return
-            lines.append(f"{pad}if {name(node.feature)} <= {node.threshold:.6f}:")
+            t = node.threshold if unscale is None else unscale(node.feature, node.threshold)
+            lines.append(f"{pad}if {name(node.feature)} <= {t:.{digits}f}:")
             walk(node.left, indent + 1)
             lines.append(f"{pad}else:")
             walk(node.right, indent + 1)
@@ -517,6 +540,13 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     return best
 
 
+def check_tree_settings(max_depth: int, min_leaf: int) -> None:
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be >= 1")
+
+
 def fit_moderator_tree(
     X: np.ndarray, beta_hat: np.ndarray, max_depth: int = 2, min_leaf: int = 10
 ) -> ModeratorTree:
@@ -526,10 +556,7 @@ def fit_moderator_tree(
     both children keep at least min_leaf rows; data smaller than
     2*min_leaf yields a single leaf.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
+    check_tree_settings(max_depth, min_leaf)
     X = np.asarray(X, dtype=np.float64)
     beta_hat = np.asarray(beta_hat, dtype=np.float64).ravel()
     if X.ndim != 2 or X.shape[0] != beta_hat.size:

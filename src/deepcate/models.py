@@ -83,6 +83,10 @@ class OlsModel:
     delta: np.ndarray
     gamma: np.ndarray
 
+    def __post_init__(self):
+        if np.shape(self.delta) != np.shape(self.gamma):
+            raise ValueError("OLS delta and gamma differ in length")
+
 
 @dataclass(frozen=True)
 class PropensityModel:
@@ -313,9 +317,31 @@ def predict_propensity(model: PropensityModel, X) -> np.ndarray:
 
 # --- serialization -----------------------------------------------------
 #
-# Versioned JSON weight dump. A network is stored as its layer specs plus
-# row-major nested weight lists; floats go through repr/JSON so the
-# round-trip is bit-exact.
+# Versioned JSON weight dump: the model's kind, then each dataclass field in
+# declaration order, encoded by its annotation. A network is stored as its
+# layer specs plus row-major nested weight lists; floats go through
+# repr/JSON so the round-trip is bit-exact.
+
+MODEL_KINDS = {
+    "shared": SharedModel,
+    "bcf": BcfModel,
+    "naive": NaiveModel,
+    "ols": OlsModel,
+    "propensity": PropensityModel,
+}
+
+
+def _finite(value, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model field {name!r} holds a non-finite value")
+    return arr
+
+
+def _require(payload: dict, keys, prefix: str) -> None:
+    missing = [prefix + k for k in keys if k not in payload]
+    if missing:
+        raise ValueError(f"model file is missing field(s) {missing}")
 
 
 def _net_to_dict(net: MlpNetwork) -> dict:
@@ -327,71 +353,50 @@ def _net_to_dict(net: MlpNetwork) -> dict:
     }
 
 
-def _net_from_dict(d: dict) -> MlpNetwork:
+def _net_from_dict(d: dict, name: str) -> MlpNetwork:
+    _require(d, ("rng_seed", "layers", "weights", "biases"), f"{name}.")
     specs = tuple(LayerSpec(**s) for s in d["layers"])
-    weights = tuple(np.asarray(w, dtype=np.float64) for w in d["weights"])
-    biases = tuple(np.asarray(b, dtype=np.float64) for b in d["biases"])
+    weights = tuple(_finite(w, f"{name}.weights") for w in d["weights"])
+    biases = tuple(_finite(b, f"{name}.biases") for b in d["biases"])
     return MlpNetwork(specs, weights, biases, int(d["rng_seed"]))
+
+
+# field annotation -> (encode, decode(value, field name))
+_FIELD_CODECS = {
+    "MlpNetwork": (_net_to_dict, _net_from_dict),
+    "np.ndarray": (np.ndarray.tolist, _finite),
+    "float": (float, lambda value, name: float(_finite(value, name))),
+}
 
 
 def save_model(model, path) -> None:
     """Write any fitted model (CATE variants or propensity) as JSON."""
-    if isinstance(model, SharedModel):
-        payload = {"kind": "shared", "net": _net_to_dict(model.net)}
-    elif isinstance(model, BcfModel):
-        payload = {
-            "kind": "bcf",
-            "alpha_net": _net_to_dict(model.alpha_net),
-            "beta_net": _net_to_dict(model.beta_net),
-        }
-    elif isinstance(model, NaiveModel):
-        payload = {
-            "kind": "naive",
-            "y1_net": _net_to_dict(model.y1_net),
-            "y0_net": _net_to_dict(model.y0_net),
-        }
-    elif isinstance(model, OlsModel):
-        payload = {
-            "kind": "ols",
-            "intercept": model.intercept,
-            "beta_z": model.beta_z,
-            "delta": model.delta.tolist(),
-            "gamma": model.gamma.tolist(),
-        }
-    elif isinstance(model, PropensityModel):
-        payload = {"kind": "propensity", "net": _net_to_dict(model.net)}
-    else:
+    kind = next((k for k, cls in MODEL_KINDS.items() if type(model) is cls), None)
+    if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    payload = {"kind": kind}
+    for f in dataclasses.fields(model):
+        payload[f.name] = _FIELD_CODECS[f.type][0](getattr(model, f.name))
     payload["format_version"] = MODEL_FORMAT_VERSION
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
 def load_model(path):
-    """Inverse of save_model."""
+    """Inverse of save_model.
+
+    Raises ValueError for an unsupported version, an unknown kind, a
+    missing field, a non-finite value, or weights that do not fit their
+    layers (OLS: delta and gamma of different lengths).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = payload["kind"]
-    if kind == "shared":
-        return SharedModel(_net_from_dict(payload["net"]))
-    if kind == "bcf":
-        return BcfModel(
-            _net_from_dict(payload["alpha_net"]), _net_from_dict(payload["beta_net"])
-        )
-    if kind == "naive":
-        return NaiveModel(
-            _net_from_dict(payload["y1_net"]), _net_from_dict(payload["y0_net"])
-        )
-    if kind == "ols":
-        return OlsModel(
-            intercept=float(payload["intercept"]),
-            beta_z=float(payload["beta_z"]),
-            delta=np.asarray(payload["delta"], dtype=np.float64),
-            gamma=np.asarray(payload["gamma"], dtype=np.float64),
-        )
-    if kind == "propensity":
-        return PropensityModel(_net_from_dict(payload["net"]))
-    raise ValueError(f"unknown model kind {kind!r}")
+    cls = MODEL_KINDS.get(payload.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown model kind {payload.get('kind')!r}")
+    fields = dataclasses.fields(cls)
+    _require(payload, [f.name for f in fields], "")
+    return cls(**{f.name: _FIELD_CODECS[f.type][1](payload[f.name], f.name) for f in fields})

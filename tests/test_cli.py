@@ -440,3 +440,112 @@ class TestMainCli:
         assert cli.main(
             ["report", "--results", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]
         ) == 3
+
+
+# every key of each mode set away from its default (the shipped fixture
+# paths stand in for analyze's data and schema)
+NON_DEFAULT_ARGV = {
+    "simulate": [
+        "--regime", "large", "--n", "100,200", "--trials", "3", "--test-size", "500",
+        "--methods", "bcf,ols", "--seed", "9", "--kappa", "0.5", "--threads", "2",
+        "--epochs", "10", "--batch-size", "32", "--lr", "0.01", "--propensity-epochs", "7",
+        "--redraw-z", "false", "--standardize-y", "true",
+    ],
+    "analyze": [
+        "--data", str(FIXTURE), "--schema", str(SCHEMA), "--seed", "4", "--epochs", "77",
+        "--propensity-epochs", "12", "--batch-size", "8", "--lr", "0.5", "--methods", "naive,bcf",
+        "--tree-depth", "3", "--tree-min-leaf", "4",
+    ],
+    "report": ["--results", "r.csv", "--format", "markdown"],
+}
+REQUIRED_ARGV = {
+    "simulate": [],
+    "analyze": ["--data", str(FIXTURE), "--schema", str(SCHEMA)],
+    "report": ["--results", "r.csv"],
+}
+
+
+def echo_lines(cfg):
+    return dict(line.split(" = ", 1) for line in cli.effective_config_text(cfg).splitlines())
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("mode", ["simulate", "analyze", "report"])
+    def test_every_key_round_trips_through_the_echo(self, mode, tmp_path):
+        argv = [mode, *NON_DEFAULT_ARGV[mode], "--out-dir", str(tmp_path / "out")]
+        set_keys = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+        assert set_keys == set(cli._KEYS[mode])
+        cfg = cli.parse_config(argv)
+        echoed = echo_lines(cfg)
+        defaults = echo_lines(cli.parse_config([mode, *REQUIRED_ARGV[mode]]))
+        away = {k for k in cli._KEYS[mode] if echoed.get(k) != defaults.get(k)}
+        assert away == set(cli._KEYS[mode]) - {"data", "schema", "results"}
+        echo = tmp_path / "echo.cfg"
+        echo.write_text(cli.effective_config_text(cfg))
+        again = cli.parse_config([mode, "--config", str(echo)])
+        assert again == cfg
+        assert cli.effective_config_text(again) == cli.effective_config_text(cfg)
+
+    @pytest.mark.parametrize("name", ["table1_small.cfg", "table2_large.cfg"])
+    def test_shipped_run_configs_parse_and_echo_to_a_fixed_point(self, name, tmp_path):
+        path = Path(__file__).parent.parent / "configs" / name
+        cfg = cli.parse_config(["simulate", "--config", str(path)])
+        written = cli.read_config_file(path)
+        assert written.pop("mode") == "simulate"
+        echoed = echo_lines(cfg)
+        for key, value in written.items():
+            assert echoed[key] == value, key
+        echo = tmp_path / "echo.cfg"
+        echo.write_text(cli.effective_config_text(cfg))
+        again = cli.parse_config(["simulate", "--config", str(echo)])
+        assert again == cfg
+        assert cli.effective_config_text(again) == echo.read_text()
+
+    def test_training_defaults_come_from_train_config(self):
+        from deepcate import harness, nn
+
+        base = nn.TrainConfig()
+        for settings in (harness.TrainSettings(), cli.AnalyzeConfig(data="d", schema="s")):
+            assert (settings.epochs, settings.batch_size, settings.lr) == (
+                base.epochs, base.batch_size, base.lr,
+            )
+
+
+# small runs, so a setting that slips through finishes (and fails) quickly
+SMALL_SIMULATE = ["simulate", "--n", "30", "--trials", "1", "--test-size", "20",
+                  "--methods", "shared,bcf", "--epochs", "1"]
+SMALL_ANALYZE = ["analyze", "--data", str(FIXTURE), "--schema", str(SCHEMA),
+                 "--epochs", "1", "--propensity-epochs", "1"]
+
+
+class TestBadSettingsExitBeforeAnyFit:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (SMALL_SIMULATE + ["--epochs", "0"], "epochs must be >= 1"),
+            (SMALL_SIMULATE + ["--batch-size", "0"], "batch_size must be >= 1"),
+            (SMALL_SIMULATE + ["--lr", "0"], "lr must be > 0"),
+            (SMALL_SIMULATE + ["--propensity-epochs", "0"], "propensity epochs must be >= 1"),
+            (SMALL_ANALYZE + ["--epochs", "0"], "epochs must be >= 1"),
+            (SMALL_ANALYZE + ["--propensity-epochs", "0"], "propensity epochs must be >= 1"),
+            (SMALL_ANALYZE + ["--batch-size", "-3"], "batch_size must be >= 1"),
+            (SMALL_ANALYZE + ["--lr", "-0.1"], "lr must be > 0"),
+            (SMALL_ANALYZE + ["--tree-depth", "0"], "max_depth must be >= 1"),
+            (SMALL_ANALYZE + ["--tree-min-leaf", "0"], "min_leaf must be >= 1"),
+        ],
+    )
+    def test_exit_2_and_nothing_written(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_settings_validate_at_construction(self):
+        from deepcate import harness
+
+        with pytest.raises(ValueError, match="epochs"):
+            harness.TrainSettings(epochs=0)
+        with pytest.raises(ValueError, match="propensity epochs"):
+            harness.TrainSettings(propensity_epochs=0)
+        with pytest.raises(ValueError, match="max_depth"):
+            cli.AnalyzeConfig(data="d", schema="s", tree_depth=0)

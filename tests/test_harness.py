@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +292,41 @@ class TestModeratorTree:
             fit_moderator_tree(X, y, max_depth=1, min_leaf=0)
         with pytest.raises(ValueError):
             fit_moderator_tree(X, y[:-1], max_depth=1, min_leaf=1)
+
+
+class TestFitMethod:
+    def test_bcf_needs_pi_hat(self, rng):
+        X = rng.normal(size=(40, 5))
+        Z = (np.arange(40) % 2).astype(float)
+        cfg = harness.train_config(TrainSettings(epochs=1), 40, 0)
+        with pytest.raises(ValueError, match="pi_hat"):
+            harness.fit_method("bcf", X, Z, X[:, 0], cfg)
+        with pytest.raises(ValueError, match="unknown method"):
+            harness.fit_method("forest", X, Z, X[:, 0], cfg)
+
+    def test_train_config_clamps_the_batch_to_n(self):
+        cfg = harness.train_config(TrainSettings(batch_size=64, lr=0.01), 40, 5, epochs=3)
+        assert (cfg.epochs, cfg.batch_size, cfg.lr, cfg.shuffle_seed) == (3, 40, 0.01, 5)
+
+    def test_analyze_fits_through_the_harness_names(self, monkeypatch):
+        # a wrapped harness.fit_naive must see analyze's fit, as a
+        # tracer or a test double would
+        from deepcate import cli
+
+        calls = []
+        real = harness.fit_naive
+
+        def spy(X, Z, Y, cfg):
+            calls.append((len(X), cfg.epochs, cfg.shuffle_seed))
+            return real(X, Z, Y, cfg)
+
+        monkeypatch.setattr(harness, "fit_naive", spy)
+        root = Path(__file__).parent
+        schema = cli.load_schema(root.parent / "configs" / "sleep_schema.json")
+        data = cli.load_dataset(root / "data" / "sleep_synthetic.csv", schema)
+        cfg = cli.AnalyzeConfig(
+            data="d", schema="s", seed=3, epochs=2, propensity_epochs=1, methods=("naive",)
+        )
+        cli.run_sleep_analysis(data, cfg)
+        assert calls == [(253, 2, derive_seed(3, harness.METHOD_CODES["naive"]))]
+

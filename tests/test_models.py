@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -338,3 +339,72 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             models.load_model(path)
+
+
+class TestLoadModelValidation:
+    """load_model rejects a malformed file with a ValueError that says why."""
+
+    def _dump(self, model, path):
+        models.save_model(model, path)
+        return json.loads(path.read_text())
+
+    def _load(self, payload, path):
+        path.write_text(json.dumps(payload))
+        return models.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["shared", "bcf", "naive", "ols"])
+    def test_resave_is_byte_identical(self, kind, fitted_models, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        models.save_model(fitted_models[kind], first)
+        models.save_model(models.load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("ols", "gamma"), ("ols", "intercept"), ("bcf", "beta_net"), ("naive", "y0_net")],
+    )
+    def test_missing_field_is_named(self, kind, field, fitted_models, tmp_path):
+        payload = self._dump(fitted_models[kind], tmp_path / "m.json")
+        del payload[field]
+        with pytest.raises(ValueError, match=f"missing.*{field}"):
+            self._load(payload, tmp_path / "m.json")
+
+    def test_missing_network_field_is_named(self, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["shared"], tmp_path / "m.json")
+        del payload["net"]["weights"]
+        with pytest.raises(ValueError, match=r"missing.*net\.weights"):
+            self._load(payload, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_ols_value_rejected(self, bad, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["ols"], tmp_path / "m.json")
+        payload["delta"][0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            self._load(payload, tmp_path / "m.json")
+        payload = self._dump(fitted_models["ols"], tmp_path / "m.json")
+        payload["beta_z"] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            self._load(payload, tmp_path / "m.json")
+
+    def test_non_finite_weight_rejected(self, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["bcf"], tmp_path / "m.json")
+        payload["alpha_net"]["weights"][0][0][0] = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            self._load(payload, tmp_path / "m.json")
+
+    def test_ols_coefficient_lengths_must_match(self, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["ols"], tmp_path / "m.json")
+        payload["gamma"] = payload["gamma"][:-1]
+        with pytest.raises(ValueError, match="delta and gamma"):
+            self._load(payload, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("kind", ["forest", None])
+    def test_unknown_kind_rejected(self, kind, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["ols"], tmp_path / "m.json")
+        payload["kind"] = kind
+        with pytest.raises(ValueError, match="unknown model kind"):
+            self._load(payload, tmp_path / "m.json")
+
+    def test_unknown_type_not_saved(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            models.save_model(object(), tmp_path / "m.json")
