@@ -38,11 +38,12 @@ from .harness import (
     derive_seed,
     fit_method,
     fit_moderator_tree,
+    propensity_hat,
     run_experiment,
     train_config,
 )
 from .metrics import ResultsTable, read_results_csv, write_results_csv
-from .models import fit_propensity, predict_cate, predict_prognostic, predict_propensity
+from .models import predict_cate, predict_prognostic
 from .nn import TrainConfig
 
 EXIT_OK = 0
@@ -288,9 +289,13 @@ class AnalyzeConfig:
     tree_min_leaf: int = 10
 
     def __post_init__(self):
-        check_train_settings(self, self.propensity_epochs)
-        check_tree_settings(self.tree_depth, self.tree_min_leaf)
-        object.__setattr__(self, "methods", canonical_methods(self.methods, ANALYZE_METHODS))
+        try:
+            check_train_settings(self, self.propensity_epochs)
+            check_tree_settings(self.tree_depth, self.tree_min_leaf)
+            methods = canonical_methods(self.methods, ANALYZE_METHODS)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "methods", methods)
 
 
 @dataclass(frozen=True)
@@ -324,8 +329,7 @@ def run_sleep_analysis(data: StandardizedDataset, cfg: AnalyzeConfig) -> SleepAn
     prognosis-vs-propensity scatter come from the split model when fitted,
     else from the first fitted method.
     """
-    prop_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, 99), cfg.propensity_epochs)
-    pi_hat = predict_propensity(fit_propensity(data.X, data.Z, prop_cfg), data.X)
+    pi_hat = propensity_hat(data.X, data.Z, cfg, derive_seed(cfg.seed, 99), cfg.propensity_epochs)
     models = {}
     for method in cfg.methods:
         fit_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, METHOD_CODES[method]))
@@ -390,7 +394,6 @@ def write_analysis_outputs(analysis: SleepAnalysis, data: StandardizedDataset, o
         fh.write(
             analysis.tree.to_text(
                 data.feature_names,
-                4,
                 lambda j, t: t * data.feature_scale[j] + data.feature_center[j],
             )
         )
@@ -509,7 +512,9 @@ class _Key:
     holds it has none."""
 
     def __init__(self, parse, *targets: str, default=None):
-        self.parse, self.targets, self.default = parse, targets, default
+        self.parse = parse
+        self.targets = targets
+        self.default = default
 
 
 # key -> _Key, per mode; config-file keys and flag names coincide, and the

@@ -211,6 +211,15 @@ def fit_method(method: str, X, Z, Y, cfg: TrainConfig, pi_hat=None):
     raise ValueError(f"unknown method {method!r}")
 
 
+def propensity_hat(X, Z, settings, seed: int, epochs: int) -> np.ndarray:
+    """Fit the propensity network for the given epochs, shuffled by seed,
+    and return its estimate of P(Z=1 | x) on X (looked up among this
+    module's names at each call, like fit_method)."""
+    cfg = train_config(settings, X.shape[0], seed, epochs)
+    model = fit_propensity(X, Z, cfg)
+    return predict_propensity(model, X)
+
+
 def run_trial(
     X_train: np.ndarray,
     u_train: np.ndarray,
@@ -256,10 +265,10 @@ def run_trial(
     pi_hat = None
     if method == "bcf":
         prop_epochs = settings.resolved_propensity_epochs()
-        prop_cfg = train_config(settings, n, derive_seed(fit_seed, 1), prop_epochs)
-        pi_hat = predict_propensity(fit_propensity(X_train, Z, prop_cfg), X_train)
+        pi_hat = propensity_hat(X_train, Z, settings, derive_seed(fit_seed, 1), prop_epochs)
         fit_seed = derive_seed(fit_seed, 2)
-    model = fit_method(method, X_train, Z, Y, train_config(settings, n, fit_seed), pi_hat)
+    cfg = train_config(settings, n, fit_seed)
+    model = fit_method(method, X_train, Z, Y, cfg, pi_hat)
     runtime = time.perf_counter() - t0
     beta_hat = predict_cate(model, test_sample.X) * y_scale
     if not np.isfinite(beta_hat).all():
@@ -475,9 +484,9 @@ class ModeratorTree:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    def to_text(self, feature_names=None, digits: int = 6, unscale=None) -> str:
-        """Nested if/else rendering; unscale(j, t), when given, maps feature
-        j's threshold t to the units printed."""
+    def to_text(self, feature_names=None, unscale=None) -> str:
+        """Nested if/else rendering, 4 decimals; unscale(j, t), when given,
+        maps feature j's threshold t to the units printed."""
 
         def name(j):
             return feature_names[j] if feature_names is not None else f"x{j + 1}"
@@ -487,10 +496,10 @@ class ModeratorTree:
         def walk(node, indent):
             pad = "    " * indent
             if node.is_leaf:
-                lines.append(f"{pad}predict {node.value:.{digits}f}  (n={node.n})")
+                lines.append(f"{pad}predict {node.value:.4f}  (n={node.n})")
                 return
             t = node.threshold if unscale is None else unscale(node.feature, node.threshold)
-            lines.append(f"{pad}if {name(node.feature)} <= {t:.{digits}f}:")
+            lines.append(f"{pad}if {name(node.feature)} <= {t:.4f}:")
             walk(node.left, indent + 1)
             lines.append(f"{pad}else:")
             walk(node.right, indent + 1)

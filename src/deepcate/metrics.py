@@ -5,7 +5,6 @@ effect, and the per-trial / aggregated metrics reported by the benchmark.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -150,34 +149,47 @@ def aggregate_results(
     )
 
 
-RESULTS_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
-
-# ResultRow field annotation -> parser of its CSV cell
-_CELL_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "float | None": lambda cell: None if cell == "" else float(cell),
-}
+RESULTS_CSV_COLUMNS = (
+    "method",
+    "n",
+    "regime",
+    "trials",
+    "mean_beta_hat",
+    "true_ate",
+    "true_mean_alpha",
+    "mean_runtime_s",
+    "mean_correlation",
+    "mean_rmse",
+    "mean_abs_bias",
+)
 
 
 def write_results_csv(table: ResultsTable, path) -> None:
-    """Emit the aggregated table, one column per ResultRow field; float
-    cells use repr (None as an empty cell) so the file is bit-stable for
-    identical inputs and round-trips exactly."""
+    """Emit the aggregated table; float cells use repr so the file is
+    bit-stable for identical inputs and round-trips exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_CSV_COLUMNS)
         for r in table.rows:
-            values = (getattr(r, c) for c in RESULTS_CSV_COLUMNS)
             writer.writerow(
-                ["" if v is None else repr(v) if isinstance(v, float) else v for v in values]
+                [
+                    r.method,
+                    r.n,
+                    r.regime,
+                    r.trials,
+                    repr(r.mean_beta_hat),
+                    repr(r.true_ate),
+                    repr(r.true_mean_alpha),
+                    repr(r.mean_runtime_s),
+                    "" if r.mean_correlation is None else repr(r.mean_correlation),
+                    repr(r.mean_rmse),
+                    repr(r.mean_abs_bias),
+                ]
             )
 
 
 def read_results_csv(path) -> ResultsTable:
     """Inverse of write_results_csv."""
-    fields = dataclasses.fields(ResultRow)
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -185,9 +197,19 @@ def read_results_csv(path) -> ResultsTable:
             raise ValueError(f"unexpected columns {header}")
         rows = []
         for rec in reader:
-            if len(rec) != len(fields):
-                raise ValueError(
-                    f"line {reader.line_num}: expected {len(fields)} cells, got {len(rec)}"
+            rows.append(
+                ResultRow(
+                    method=rec[0],
+                    n=int(rec[1]),
+                    regime=rec[2],
+                    trials=int(rec[3]),
+                    mean_beta_hat=float(rec[4]),
+                    true_ate=float(rec[5]),
+                    true_mean_alpha=float(rec[6]),
+                    mean_runtime_s=float(rec[7]),
+                    mean_correlation=None if rec[8] == "" else float(rec[8]),
+                    mean_rmse=float(rec[9]),
+                    mean_abs_bias=float(rec[10]),
                 )
-            rows.append(ResultRow(*(_CELL_PARSERS[f.type](cell) for f, cell in zip(fields, rec))))
+            )
     return ResultsTable(tuple(rows))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 import warnings
 from dataclasses import dataclass
 
@@ -318,7 +319,7 @@ def predict_propensity(model: PropensityModel, X) -> np.ndarray:
 # --- serialization -----------------------------------------------------
 #
 # Versioned JSON weight dump: the model's kind, then each dataclass field in
-# declaration order, encoded by its annotation. A network is stored as its
+# declaration order, encoded by its type. A network is stored as its
 # layer specs plus row-major nested weight lists; floats go through
 # repr/JSON so the round-trip is bit-exact.
 
@@ -355,18 +356,27 @@ def _net_to_dict(net: MlpNetwork) -> dict:
 
 def _net_from_dict(d: dict, name: str) -> MlpNetwork:
     _require(d, ("rng_seed", "layers", "weights", "biases"), f"{name}.")
-    specs = tuple(LayerSpec(**s) for s in d["layers"])
+    try:
+        specs = tuple(LayerSpec(**s) for s in d["layers"])
+    except TypeError as exc:
+        raise ValueError(f"model field {name}.layers: {exc}") from None
     weights = tuple(_finite(w, f"{name}.weights") for w in d["weights"])
     biases = tuple(_finite(b, f"{name}.biases") for b in d["biases"])
     return MlpNetwork(specs, weights, biases, int(d["rng_seed"]))
 
 
-# field annotation -> (encode, decode(value, field name))
+# field type -> (encode, decode(value, field name))
 _FIELD_CODECS = {
-    "MlpNetwork": (_net_to_dict, _net_from_dict),
-    "np.ndarray": (np.ndarray.tolist, _finite),
-    "float": (float, lambda value, name: float(_finite(value, name))),
+    MlpNetwork: (_net_to_dict, _net_from_dict),
+    np.ndarray: (np.ndarray.tolist, _finite),
+    float: (float, lambda value, name: float(_finite(value, name))),
 }
+
+
+def _field_codecs(cls) -> dict:
+    """Field name -> codec of a model class, in declaration order; the
+    annotations are resolved to types, so their spelling does not matter."""
+    return {name: _FIELD_CODECS[hint] for name, hint in typing.get_type_hints(cls).items()}
 
 
 def save_model(model, path) -> None:
@@ -375,8 +385,8 @@ def save_model(model, path) -> None:
     if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     payload = {"kind": kind}
-    for f in dataclasses.fields(model):
-        payload[f.name] = _FIELD_CODECS[f.type][0](getattr(model, f.name))
+    for name, (encode, _decode) in _field_codecs(type(model)).items():
+        payload[name] = encode(getattr(model, name))
     payload["format_version"] = MODEL_FORMAT_VERSION
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -385,18 +395,21 @@ def save_model(model, path) -> None:
 def load_model(path):
     """Inverse of save_model.
 
-    Raises ValueError for an unsupported version, an unknown kind, a
-    missing field, a non-finite value, or weights that do not fit their
-    layers (OLS: delta and gamma of different lengths).
+    Raises ValueError for a file that is not a JSON object, an
+    unsupported version, an unknown kind, a missing field, a layer spec
+    with unknown keys, a non-finite value, or weights that do not fit
+    their layers (OLS: delta and gamma of different lengths).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("model file does not hold a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     cls = MODEL_KINDS.get(payload.get("kind"))
     if cls is None:
         raise ValueError(f"unknown model kind {payload.get('kind')!r}")
-    fields = dataclasses.fields(cls)
-    _require(payload, [f.name for f in fields], "")
-    return cls(**{f.name: _FIELD_CODECS[f.type][1](payload[f.name], f.name) for f in fields})
+    codecs = _field_codecs(cls)
+    _require(payload, codecs, "")
+    return cls(**{name: decode(payload[name], name) for name, (_encode, decode) in codecs.items()})

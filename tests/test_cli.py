@@ -547,5 +547,9 @@ class TestBadSettingsExitBeforeAnyFit:
             harness.TrainSettings(epochs=0)
         with pytest.raises(ValueError, match="propensity epochs"):
             harness.TrainSettings(propensity_epochs=0)
-        with pytest.raises(ValueError, match="max_depth"):
+        with pytest.raises(cli.ConfigError, match="max_depth"):
             cli.AnalyzeConfig(data="d", schema="s", tree_depth=0)
+        with pytest.raises(cli.ConfigError, match="unknown methods"):
+            cli.AnalyzeConfig(data="d", schema="s", methods=("ols",))
+        with pytest.raises(cli.ConfigError, match="at least one method"):
+            cli.AnalyzeConfig(data="d", schema="s", methods=())

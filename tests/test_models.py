@@ -405,6 +405,17 @@ class TestLoadModelValidation:
         with pytest.raises(ValueError, match="unknown model kind"):
             self._load(payload, tmp_path / "m.json")
 
+    def test_unknown_layer_key_rejected(self, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["shared"], tmp_path / "m.json")
+        payload["net"]["layers"][0]["bias"] = 1
+        with pytest.raises(ValueError, match=r"net\.layers"):
+            self._load(payload, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("payload", [[1, 2], "shared", None])
+    def test_top_level_must_be_an_object(self, payload, tmp_path):
+        with pytest.raises(ValueError, match="JSON object"):
+            self._load(payload, tmp_path / "m.json")
+
     def test_unknown_type_not_saved(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize"):
             models.save_model(object(), tmp_path / "m.json")
