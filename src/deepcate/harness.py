@@ -15,14 +15,25 @@ numpy.random.SeedSequence(entropy) over integer tuples,
     trial seed        (base_seed, n, method_code, trial_index)
 
 with method codes shared=1, bcf=2, naive=3, ols=4.
+
+Process pool (parallelism > 1): each worker receives every size's design,
+eval sample and fixed Z once, through the pool initializer, which also caps
+the worker's OpenBLAS threads at max(1, usable cores // workers). A task is
+then only (n, method, trial_index, seed). Tasks are dispatched longest
+first (bcf, then shared and naive, one trial per submission; ols last, in
+chunks), and outcomes are put back in grid order before aggregation, so
+the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import csv
 import json
 import logging
+import math
+import os
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
@@ -238,6 +249,8 @@ def run_trial(
     fixed_z is supplied), the outcome noise, network initialization,
     dropout, and shuffling. Runtime covers the fit only (for bcf that
     includes its propensity stage, seeded apart from its outcome fit).
+    For bcf and naive, a treatment draw of a single class raises
+    TrialFailedError, as neither can be fitted on it.
     """
     settings = settings or TrainSettings()
     truth = truth if truth is not None else regime_truth(regime)
@@ -254,6 +267,9 @@ def run_trial(
         Z = np.asarray(fixed_z, dtype=np.float64)
     else:
         Z = (np.random.default_rng(z_seed).random(n) < pi).astype(np.float64)
+    if method in ("bcf", "naive") and Z.min() == Z.max():
+        # the propensity net and the per-arm nets need both arms
+        raise TrialFailedError(f"{method}: single-class treatment draw (all {int(Z[0])})")
     sigma = float(np.asarray(alpha).std(ddof=1) * kappa)
     eps = np.random.default_rng(eps_seed).standard_normal(n)
     Y = alpha + beta * Z + sigma * eps
@@ -277,36 +293,145 @@ def run_trial(
 
 
 @dataclass(frozen=True)
-class _Task:
-    n: int
-    method: str
-    trial_index: int
-    seed: int
+class _Design:
+    """One training size's arrays, shared by every trial of that size."""
+
     X: np.ndarray
     u: np.ndarray
-    regime: str
-    kappa: float
     test_sample: EvalSample
-    settings: TrainSettings
     fixed_z: np.ndarray | None
 
 
-def _run_task(task: _Task):
+def _make_design(cfg: ExperimentConfig, n: int) -> _Design:
+    X, u = dgp.gen_covariates(n, derive_seed(cfg.base_seed, n, _DESIGN_STREAM))
+    test_sample = make_eval_sample(
+        cfg.test_size, cfg.regime, derive_seed(cfg.base_seed, n, _EVAL_STREAM)
+    )
+    fixed_z = None
+    if not cfg.redraw_z:
+        pi = dgp.true_pi(dgp.true_alpha(X), u)
+        z_rng = np.random.default_rng(derive_seed(cfg.base_seed, n, _Z_STREAM))
+        fixed_z = (z_rng.random(n) < pi).astype(np.float64)
+    return _Design(X, u, test_sample, fixed_z)
+
+
+def _run_task(cfg: ExperimentConfig, designs: dict[int, _Design], task) -> tuple:
+    """Run task (n, method, trial_index, seed) on designs[n]: (metrics,
+    None), or (None, "ErrorType: message") for a failed trial."""
+    n, method, _t, seed = task
+    d = designs[n]
     try:
         m = run_trial(
-            task.X,
-            task.u,
-            task.seed,
-            task.method,
-            task.regime,
-            task.kappa,
-            task.test_sample,
-            settings=task.settings,
-            fixed_z=task.fixed_z,
+            d.X, d.u, seed, method, cfg.regime, cfg.kappa, d.test_sample,
+            settings=cfg.train, fixed_z=d.fixed_z,
         )
-        return (task.n, task.method, task.trial_index, m, None)
-    except Exception as exc:  # noqa: BLE001 - a failed trial must not kill the sweep
-        return (task.n, task.method, task.trial_index, None, f"{type(exc).__name__}: {exc}")
+        return m, None
+    except (RuntimeError, FloatingPointError) as exc:
+        # a diverged or degenerate trial; any other error aborts the sweep
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+# --- process pool ------------------------------------------------------
+
+# (setter, getter) C entry points of OpenBLAS builds: scipy-openblas
+# 64-bit-integer (numpy's), scipy-openblas (scipy's), and plain OpenBLAS
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_funcs() -> list[tuple]:
+    """(set, get) ctypes functions of each OpenBLAS library loaded in this
+    process; empty where the libraries cannot be listed (no Linux
+    /proc/self/maps) or none is loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({
+                line.split()[-1] for line in fh
+                if "openblas" in line.rsplit("/", 1)[-1].lower()
+            })
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((setter, getter))
+                break
+    return found
+
+
+def openblas_threads() -> list[int]:
+    """The thread count of each OpenBLAS library loaded in this process."""
+    return [get() for _set, get in _openblas_thread_funcs()]
+
+
+def _worker_blas_threads(workers: int) -> int:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cores or 1) // workers)
+
+
+# set in each pool worker by _init_worker: (cfg, designs by n)
+_worker_sweep: tuple | None = None
+
+
+def _init_worker(cfg: ExperimentConfig, designs: dict[int, _Design], blas_threads: int) -> None:
+    global _worker_sweep
+    _worker_sweep = (cfg, designs)
+    for set_threads, _get in _openblas_thread_funcs():
+        set_threads(blas_threads)
+
+
+def _run_tasks(tasks: list) -> list[tuple]:
+    cfg, designs = _worker_sweep
+    return [_run_task(cfg, designs, t) for t in tasks]
+
+
+# dispatch order: longest trials first (Graham's LPT rule)
+_DISPATCH_RANK = {"bcf": 0, "shared": 1, "naive": 1, "ols": 2}
+
+
+def _dispatch_chunks(tasks: list, workers: int) -> list[list[int]]:
+    """Task indices in submissions, longest trials first: one per network
+    trial, and the ols trials in chunks of about len(ols) / (4 workers)."""
+    order = sorted(range(len(tasks)), key=lambda i: _DISPATCH_RANK[tasks[i][1]])
+    ols = [i for i in order if tasks[i][1] == "ols"]
+    size = max(1, math.ceil(len(ols) / (4 * workers)))
+    nets = [[i] for i in order if tasks[i][1] != "ols"]
+    return nets + [ols[k : k + size] for k in range(0, len(ols), size)]
+
+
+def _run_pooled(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list) -> list[tuple]:
+    """Every task's outcome, in task order, from cfg.parallelism workers."""
+    workers = cfg.parallelism
+    chunks = _dispatch_chunks(tasks, workers)
+    outcomes: list = [None] * len(tasks)
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(cfg, designs, _worker_blas_threads(workers)),
+    ) as pool:
+        futures = [pool.submit(_run_tasks, [tasks[i] for i in chunk]) for chunk in chunks]
+        try:
+            for chunk, future in zip(chunks, futures):
+                for i, outcome in zip(chunk, future.result()):
+                    outcomes[i] = outcome
+        except BaseException:
+            # an error that aborts the sweep: do not run the queued tasks
+            for future in futures:
+                future.cancel()
+            raise
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -321,54 +446,32 @@ class TrialRecord:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
     """Run the full (n, method, trial) grid and aggregate per cell.
 
-    Failed trials are logged and excluded from the aggregates (the row's
-    trial count reflects completions); a cell with no completed trials
-    aborts the sweep. With out_dir set, emits results.csv plus the
-    plot-data files (bias/rmse vs n, per-trial scatter).
+    A trial that raises RuntimeError (diverged training, a degenerate
+    draw) or FloatingPointError is logged and excluded from the aggregates
+    (the row's trial count reflects completions); any other exception
+    aborts the sweep, and so does a cell with no completed trials. With
+    out_dir set, emits results.csv plus the plot-data files (bias/rmse vs
+    n, per-trial scatter).
     """
-    tasks: list[_Task] = []
-    for n in cfg.sample_sizes:
-        X, u = dgp.gen_covariates(n, derive_seed(cfg.base_seed, n, _DESIGN_STREAM))
-        test_sample = make_eval_sample(
-            cfg.test_size, cfg.regime, derive_seed(cfg.base_seed, n, _EVAL_STREAM)
-        )
-        fixed_z = None
-        if not cfg.redraw_z:
-            alpha = dgp.true_alpha(X)
-            pi = dgp.true_pi(alpha, u)
-            z_rng = np.random.default_rng(derive_seed(cfg.base_seed, n, _Z_STREAM))
-            fixed_z = (z_rng.random(n) < pi).astype(np.float64)
-        for method in cfg.methods:
-            for t in range(cfg.n_trials):
-                tasks.append(
-                    _Task(
-                        n=n,
-                        method=method,
-                        trial_index=t,
-                        seed=trial_seed(cfg.base_seed, n, method, t),
-                        X=X,
-                        u=u,
-                        regime=cfg.regime,
-                        kappa=cfg.kappa,
-                        test_sample=test_sample,
-                        settings=cfg.train,
-                        fixed_z=fixed_z,
-                    )
-                )
-
+    designs = {n: _make_design(cfg, n) for n in cfg.sample_sizes}
+    tasks = [
+        (n, method, t, trial_seed(cfg.base_seed, n, method, t))
+        for n in cfg.sample_sizes
+        for method in cfg.methods
+        for t in range(cfg.n_trials)
+    ]
     if cfg.parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            outcomes = list(pool.map(_run_task, tasks))
+        outcomes = _run_pooled(cfg, designs, tasks)
     else:
-        outcomes = [_run_task(t) for t in tasks]
+        outcomes = [_run_task(cfg, designs, task) for task in tasks]
 
     by_cell: dict[tuple[int, str], list[TrialMetrics]] = {}
     records: list[TrialRecord] = []
-    failures: dict[tuple[int, str], int] = {}
-    for n, method, t, m, err in outcomes:
+    failed = 0
+    for (n, method, t, _seed), (m, err) in zip(tasks, outcomes):
         if err is not None:
             log.warning("trial failed (n=%d, %s, trial %d): %s", n, method, t, err)
-            failures[(n, method)] = failures.get((n, method), 0) + 1
+            failed += 1
             continue
         by_cell.setdefault((n, method), []).append(m)
         records.append(TrialRecord(method, n, cfg.regime, t, m))
@@ -379,7 +482,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
             cell = by_cell.get((n, method), [])
             if not cell:
                 raise RuntimeError(
-                    f"every trial failed for (n={n}, {method}); see log for causes"
+                    f"every trial failed for (n={n}, {method}); {failed} of "
+                    f"{len(tasks)} trials failed in all, see log for causes"
                 )
             rows.append(aggregate_results(cell, method, n, cfg.regime))
     table = ResultsTable(tuple(rows))

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +204,91 @@ class TestRunExperiment:
         runtimes = {r.method: r.mean_runtime_s for r in table.rows}
         assert runtimes["ols"] < min(runtimes["shared"], runtimes["bcf"], runtimes["naive"])
         assert runtimes["bcf"] > max(runtimes["shared"], runtimes["naive"], runtimes["ols"])
+
+
+def masked_results(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("mean_runtime_s")
+    return [r[:col] + r[col + 1 :] for r in rows]
+
+
+def raise_type_error(X, Z, Y):
+    raise TypeError("programming error")
+
+
+class TestErrorsAndPool:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_type_error_aborts_the_sweep(self, monkeypatch, parallelism):
+        # only a diverged or degenerate trial is a failed trial; a
+        # programming error propagates, from a pool worker too
+        monkeypatch.setattr(harness, "fit_ols", raise_type_error)
+        with pytest.raises(TypeError, match="programming error"):
+            run_experiment(tiny_cfg(methods=("ols",), parallelism=parallelism))
+
+    @pytest.mark.parametrize("method", ["bcf", "naive"])
+    @pytest.mark.parametrize("arm", [0.0, 1.0])
+    def test_single_class_draw_fails_the_trial(self, method, arm):
+        X, u = dgp.gen_covariates(40, seed=1)
+        test = make_eval_sample(50, "small", seed=2)
+        with pytest.raises(harness.TrialFailedError, match="single-class"):
+            run_trial(
+                X, u, 3, method, "small", 1.0, test,
+                settings=TrainSettings(epochs=1), fixed_z=np.full(40, arm),
+            )
+
+    @pytest.mark.filterwarnings("ignore:rank-deficient design")
+    def test_single_class_draws_count_as_failed_trials(self, monkeypatch, caplog):
+        # pi = 1 treats every row: bcf's trials fail, ols still fits
+        monkeypatch.setattr(dgp, "true_pi", lambda alpha, u: np.ones_like(alpha))
+        with caplog.at_level(logging.WARNING, logger="deepcate.harness"):
+            with pytest.raises(RuntimeError, match=r"every trial failed for \(n=60, bcf\); 2 of 4"):
+                run_experiment(tiny_cfg(methods=("bcf", "ols")))
+        assert caplog.text.count("TrialFailedError: bcf: single-class") == 2
+
+    @pytest.mark.parametrize("redraw_z", [True, False])
+    def test_pool_writes_the_serial_bytes(self, tmp_path, redraw_z):
+        cfg = tiny_cfg(
+            sample_sizes=(40, 60),
+            methods=harness.METHODS,
+            redraw_z=redraw_z,
+            test_size=200,
+            train=TrainSettings(epochs=2, batch_size=16),
+        )
+        run_experiment(cfg, out_dir=tmp_path / "serial")
+        run_experiment(dataclasses.replace(cfg, parallelism=2), out_dir=tmp_path / "pool")
+        assert masked_results(tmp_path / "serial/results.csv") == masked_results(
+            tmp_path / "pool/results.csv"
+        )
+        for name in ("bias_vs_n.csv", "trial_scatter.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+    def test_dispatch_longest_first_and_chunks_ols(self):
+        tasks = [(n, m, t, 0) for n in (40, 60) for m in harness.METHODS for t in range(10)]
+        chunks = harness._dispatch_chunks(tasks, workers=2)
+        assert sorted(i for c in chunks for i in c) == list(range(len(tasks)))
+        # bcf, then shared and naive, one trial each, in grid order
+        nets = [c for c in chunks if tasks[c[0]][1] != "ols"]
+        assert all(len(c) == 1 for c in nets)
+        assert [tasks[c[0]][1] for c in nets[:20]] == ["bcf"] * 20
+        assert {tasks[c[0]][1] for c in nets[20:]} == {"shared", "naive"}
+        assert [c[0] for c in nets[20:]] == sorted(c[0] for c in nets[20:])
+        # then the 20 ols trials, in chunks of ceil(20 / (4 * 2)) = 3
+        ols = chunks[len(nets) :]
+        assert [len(c) for c in ols] == [3, 3, 3, 3, 3, 3, 2]
+        assert all(tasks[i][1] == "ols" for c in ols for i in c)
+
+    def test_pool_worker_caps_openblas_threads(self):
+        parent_threads = harness.openblas_threads()
+        if not parent_threads:
+            pytest.skip("no OpenBLAS thread setter is loaded")
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=harness._init_worker, initargs=(tiny_cfg(), {}, 1)
+        ) as pool:
+            assert pool.submit(harness.openblas_threads).result(timeout=60) == [1] * len(parent_threads)
+        # the parent keeps its threads, also after a pooled sweep
+        run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
+        assert harness.openblas_threads() == parent_threads
 
 
 class TestModeratorTree:

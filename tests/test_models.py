@@ -220,6 +220,51 @@ class TestFitOls:
         np.testing.assert_allclose(diff, 4.8, atol=1e-7)
 
 
+class TestOlsMetamorphic:
+    """Properties of least squares on [1, Z, X, Z*X] that any correct
+    OLS CATE must keep, whatever the outcome surface."""
+
+    @pytest.fixture(params=[0, 1, 2])
+    def sample(self, request):
+        rng = np.random.default_rng(request.param)
+        X = rng.normal(size=(200, 5))
+        Z = (rng.random(200) < 0.4).astype(float)
+        Y = np.exp(0.3 * X[:, 0]) + Z * X[:, 1] * X[:, 2] + rng.normal(size=200)
+        X_eval = rng.normal(size=(300, 5))
+        return X, Z, Y, X_eval
+
+    @staticmethod
+    def cate(X, Z, Y, X_eval):
+        return models.predict_cate(models.fit_ols(X, Z, Y), X_eval)
+
+    def test_scaling_the_outcome_scales_the_cate(self, sample):
+        X, Z, Y, X_eval = sample
+        c = -3.7
+        np.testing.assert_allclose(
+            self.cate(X, Z, c * Y, X_eval), c * self.cate(X, Z, Y, X_eval), rtol=1e-8
+        )
+
+    def test_adding_a_linear_prognostic_term_leaves_the_cate(self, sample):
+        X, Z, Y, X_eval = sample
+        theta = np.array([2.0, -1.0, 0.5, 3.0, -0.25])
+        np.testing.assert_allclose(
+            self.cate(X, Z, Y + X @ theta, X_eval), self.cate(X, Z, Y, X_eval), rtol=1e-8
+        )
+
+    def test_swapping_the_arms_negates_the_cate(self, sample):
+        X, Z, Y, X_eval = sample
+        np.testing.assert_allclose(
+            self.cate(X, 1.0 - Z, Y, X_eval), -self.cate(X, Z, Y, X_eval), rtol=1e-8
+        )
+
+    def test_row_order_does_not_matter(self, sample):
+        X, Z, Y, X_eval = sample
+        perm = np.random.default_rng(99).permutation(len(Y))
+        np.testing.assert_allclose(
+            self.cate(X[perm], Z[perm], Y[perm], X_eval), self.cate(X, Z, Y, X_eval), rtol=1e-8
+        )
+
+
 class TestPredict:
     def test_ols_cate_formula(self):
         m = models.OlsModel(
