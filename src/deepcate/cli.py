@@ -10,16 +10,19 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 
-Config files are flat UTF-8 key-value text: one `key = value` per line,
-`#` starts a comment, keys are the long flag names with underscores.
-Command-line flags override file values; the effective configuration is
-echoed to the output directory and can be fed back via --config.
+Config files are flat UTF-8 key-value text (a leading byte-order mark is
+skipped): one `key = value` per line, `#` starts a comment, keys are the
+long flag names with underscores. Command-line flags override file
+values; the effective configuration is echoed to the output directory
+and can be fed back via --config.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import json
 import operator
 import sys
@@ -33,7 +36,6 @@ from .harness import (
     ExperimentConfig,
     TrainSettings,
     canonical_methods,
-    check_train_settings,
     check_tree_settings,
     derive_seed,
     fit_method,
@@ -44,7 +46,6 @@ from .harness import (
 )
 from .metrics import ResultsTable, read_results_csv, write_results_csv
 from .models import predict_cate, predict_prognostic
-from .nn import TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,6 +62,25 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Unusable input data (schema violations, unparseable cells, ...)."""
+
+
+class _NotUtf8(ValueError):
+    """A text input holds a byte sequence that is not UTF-8."""
+
+    def __init__(self, line: int, byte: int):
+        super().__init__(f"byte 0x{byte:02x} is not UTF-8")
+        self.line = line
+
+
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file, with or without a byte-order mark (like
+    the utf-8-sig codec); _NotUtf8 names the line of a bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _NotUtf8(raw.count(b"\n", 0, exc.start) + 1, raw[exc.start]) from None
 
 
 # --- dataset schema and loading ----------------------------------------
@@ -106,9 +126,8 @@ class DatasetSchema:
 def load_schema(path) -> DatasetSchema:
     """Read a JSON schema file (see configs/sleep_schema.json)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(_read_utf8(path))
+    except (OSError, _NotUtf8, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read schema {path}: {exc}") from exc
     try:
         features = tuple(
@@ -183,15 +202,17 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
     treatment column must produce both classes. Row order is preserved.
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
+        text = _read_utf8(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except _NotUtf8 as exc:
+        raise DataError(f"{path}: line {exc.line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    rows = list(reader)
 
     header = [h.strip() for h in header]
     dupes = {h for h in header if header.count(h) > 1}
@@ -274,23 +295,23 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
 # --- observational analysis pipeline ------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalyzeConfig:
+@dataclass(frozen=True, kw_only=True)
+class AnalyzeConfig(TrainSettings):
+    """analyze's settings: the training settings (with a shorter
+    propensity run by default) plus its data, seed, methods and tree."""
+
     data: str
     schema: str
     out_dir: str = "out"
     seed: int = 0
-    epochs: int = TrainConfig.epochs
     propensity_epochs: int = 100
-    batch_size: int = TrainConfig.batch_size
-    lr: float = TrainConfig.lr
     methods: tuple[str, ...] = ANALYZE_METHODS
     tree_depth: int = 2
     tree_min_leaf: int = 10
 
     def __post_init__(self):
         try:
-            check_train_settings(self, self.propensity_epochs)
+            super().__post_init__()
             check_tree_settings(self.tree_depth, self.tree_min_leaf)
             methods = canonical_methods(self.methods, ANALYZE_METHODS)
         except ValueError as exc:
@@ -329,7 +350,7 @@ def run_sleep_analysis(data: StandardizedDataset, cfg: AnalyzeConfig) -> SleepAn
     prognosis-vs-propensity scatter come from the split model when fitted,
     else from the first fitted method.
     """
-    pi_hat = propensity_hat(data.X, data.Z, cfg, derive_seed(cfg.seed, 99), cfg.propensity_epochs)
+    pi_hat = propensity_hat(data.X, data.Z, cfg, derive_seed(cfg.seed, 99))
     models = {}
     for method in cfg.methods:
         fit_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, METHOD_CODES[method]))
@@ -534,7 +555,6 @@ _KEYS = {
         "lr": _Key(_typed(float), "experiment.train.lr"),
         "propensity_epochs": _Key(_typed(int), "experiment.train.propensity_epochs"),
         "redraw_z": _Key(_parse_bool, "experiment.redraw_z"),
-        "standardize_y": _Key(_parse_bool, "experiment.train.standardize_y"),
         "out_dir": _Key(str, "out_dir", default="out"),
     },
     "analyze": {
@@ -569,19 +589,21 @@ _REQUIRED = {"simulate": (), "analyze": ("data", "schema"), "report": ("results"
 
 def read_config_file(path) -> dict[str, str]:
     """Parse the flat `key = value` grammar; returns raw string values."""
-    values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{line_no}: expected `key = value`")
-                key, _, value = stripped.partition("=")
-                values[key.strip()] = value.strip()
+        text = _read_utf8(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except _NotUtf8 as exc:
+        raise ConfigError(f"{path}:{exc.line}: {exc}") from None
+    values: dict[str, str] = {}
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected `key = value`")
+        key, _, value = stripped.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 

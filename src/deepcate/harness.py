@@ -79,47 +79,37 @@ def trial_seed(base_seed: int, n: int, method: str, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Network training knobs shared by every trial.
-
-    standardize_y: center/scale the outcome before fitting and rescale the
-    CATE predictions back. A no-op for the linear estimator; for the
-    networks it keeps the optimization target at unit scale regardless of
-    how large the treatment effects are.
-    """
+    """Network training knobs shared by every trial. Construction raises
+    ValueError unless train_config accepts them for the outcome fits and,
+    with the resolved propensity epochs, for the propensity fit."""
 
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
     lr: float = TrainConfig.lr
     propensity_epochs: int | None = None  # None -> same as epochs
-    standardize_y: bool = False
 
     def __post_init__(self):
-        check_train_settings(self, self.resolved_propensity_epochs())
+        train_config(self, self.batch_size, 0)
+        try:
+            train_config(self, self.batch_size, 0, self.resolved_propensity_epochs())
+        except ValueError as exc:
+            raise ValueError(f"propensity {exc}") from None
 
     def resolved_propensity_epochs(self) -> int:
         return self.epochs if self.propensity_epochs is None else self.propensity_epochs
 
 
-def train_config(settings, n: int, seed: int, epochs: int | None = None) -> TrainConfig:
+def train_config(
+    settings: TrainSettings, n: int, seed: int, epochs: int | None = None
+) -> TrainConfig:
     """The TrainConfig of one fit on n rows: the settings' epochs (or the
-    given ones) and lr, with the batch size clamped to n. settings is a
-    TrainSettings or anything with epochs, batch_size and lr."""
+    given ones) and lr, with the batch size clamped to n."""
     return TrainConfig(
         epochs=settings.epochs if epochs is None else epochs,
         batch_size=min(settings.batch_size, n),
         lr=settings.lr,
         shuffle_seed=seed,
     )
-
-
-def check_train_settings(settings, propensity_epochs: int) -> None:
-    """Raise ValueError unless train_config accepts settings for the
-    outcome fits and, with propensity_epochs, for the propensity fit."""
-    train_config(settings, settings.batch_size, 0)
-    try:
-        train_config(settings, settings.batch_size, 0, propensity_epochs)
-    except ValueError as exc:
-        raise ValueError(f"propensity {exc}") from None
 
 
 def canonical_methods(methods, supported: tuple[str, ...]) -> tuple[str, ...]:
@@ -151,10 +141,14 @@ class ExperimentConfig:
             raise ValueError("need at least one sample size")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError("sample sizes must be >= 2")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValueError(f"sample sizes must be distinct, got {self.sample_sizes}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if self.test_size < 1:
             raise ValueError("test_size must be >= 1")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be finite and > 0")
         if self.regime not in dgp.REGIMES:
             raise ValueError(f"regime must be one of {dgp.REGIMES}")
         if self.parallelism < 1:
@@ -222,11 +216,11 @@ def fit_method(method: str, X, Z, Y, cfg: TrainConfig, pi_hat=None):
     raise ValueError(f"unknown method {method!r}")
 
 
-def propensity_hat(X, Z, settings, seed: int, epochs: int) -> np.ndarray:
-    """Fit the propensity network for the given epochs, shuffled by seed,
-    and return its estimate of P(Z=1 | x) on X (looked up among this
-    module's names at each call, like fit_method)."""
-    cfg = train_config(settings, X.shape[0], seed, epochs)
+def propensity_hat(X, Z, settings: TrainSettings, seed: int) -> np.ndarray:
+    """Fit the propensity network for the settings' propensity epochs,
+    shuffled by seed, and return its estimate of P(Z=1 | x) on X (looked
+    up among this module's names at each call, like fit_method)."""
+    cfg = train_config(settings, X.shape[0], seed, settings.resolved_propensity_epochs())
     model = fit_propensity(X, Z, cfg)
     return predict_propensity(model, X)
 
@@ -273,20 +267,15 @@ def run_trial(
     sigma = float(np.asarray(alpha).std(ddof=1) * kappa)
     eps = np.random.default_rng(eps_seed).standard_normal(n)
     Y = alpha + beta * Z + sigma * eps
-    y_scale = 1.0
-    if settings.standardize_y:
-        y_scale = float(Y.std(ddof=1))
-        Y = (Y - Y.mean()) / y_scale
     t0 = time.perf_counter()
     pi_hat = None
     if method == "bcf":
-        prop_epochs = settings.resolved_propensity_epochs()
-        pi_hat = propensity_hat(X_train, Z, settings, derive_seed(fit_seed, 1), prop_epochs)
+        pi_hat = propensity_hat(X_train, Z, settings, derive_seed(fit_seed, 1))
         fit_seed = derive_seed(fit_seed, 2)
     cfg = train_config(settings, n, fit_seed)
     model = fit_method(method, X_train, Z, Y, cfg, pi_hat)
     runtime = time.perf_counter() - t0
-    beta_hat = predict_cate(model, test_sample.X) * y_scale
+    beta_hat = predict_cate(model, test_sample.X)
     if not np.isfinite(beta_hat).all():
         raise TrialFailedError(f"{method}: non-finite CATE predictions")
     return trial_metrics(beta_hat, test_sample.beta_true, test_sample.alpha_true, runtime)

@@ -8,7 +8,7 @@ prognostic network's input. The naive estimator regresses treated and
 control groups separately, and OLS fits [1, Z, X, Z*X] by least squares.
 
 Hidden layers are ReLU with inverted dropout; regression heads are
-identity, the propensity head is a sigmoid trained with BCE. The default
+identity, the propensity head is a sigmoid trained with BCE. The fixed
 hidden widths keep the three architectures at comparable capacity for 5
 covariates: 3,280 parameters (shared), 2,405 + 821 = 3,226 (split alpha +
 beta), 1,653 * 2 = 3,306 (naive pair).
@@ -97,9 +97,9 @@ class PropensityModel:
 CateModel = SharedModel | BcfModel | NaiveModel | OlsModel
 
 
-def _mlp_specs(in_dim, hidden, out_dim, out_activation, dropout):
+def _mlp_specs(in_dim, hidden, out_dim, out_activation):
     dims = (in_dim, *hidden)
-    specs = [LayerSpec(a, b, "relu", dropout) for a, b in zip(dims, dims[1:])]
+    specs = [LayerSpec(a, b, "relu", DROPOUT_RATE) for a, b in zip(dims, dims[1:])]
     return (*specs, LayerSpec(dims[-1], out_dim, out_activation, 0.0))
 
 
@@ -130,9 +130,7 @@ def _as_outcome_data(X, Z, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X, Z, Y
 
 
-def fit_propensity(
-    X, Z, cfg: TrainConfig, hidden=PROPENSITY_HIDDEN, dropout=DROPOUT_RATE
-) -> PropensityModel:
+def fit_propensity(X, Z, cfg: TrainConfig, hidden=PROPENSITY_HIDDEN) -> PropensityModel:
     """BCE-train a sigmoid-output network for P(Z=1 | x).
 
     Requires both classes present. Init and shuffling both derive from
@@ -145,7 +143,7 @@ def fit_propensity(
     if Z.min() == Z.max():
         raise ValueError("treatment indicator is single-class")
     init_seed, loop_seed = _spawn_seeds(cfg.shuffle_seed, 2)
-    net = init_network(_mlp_specs(X.shape[1], hidden, 1, "sigmoid", dropout), init_seed)
+    net = init_network(_mlp_specs(X.shape[1], hidden, 1, "sigmoid"), init_seed)
     cfg = dataclasses.replace(cfg, loss="bce", shuffle_seed=loop_seed)
     net, _ = train(net, X, Z.reshape(-1, 1), cfg)
     return PropensityModel(net)
@@ -160,9 +158,7 @@ _SHARED_HEAD = Head(
 _BCF_HEAD = Head(lambda outs, z: outs[0] + outs[1] * z, lambda dpred, z: (dpred, dpred * z))
 
 
-def fit_shared(
-    X, Z, Y, cfg: TrainConfig, hidden=SHARED_HIDDEN, dropout=DROPOUT_RATE
-) -> SharedModel:
+def fit_shared(X, Z, Y, cfg: TrainConfig) -> SharedModel:
     """Train the shared-trunk model by MSE on alpha(x) + beta(x) * z.
 
     The effect head receives gradient only through treated rows (its output
@@ -176,22 +172,13 @@ def fit_shared(
             RuntimeWarning,
         )
     init_seed, loop_seed = _spawn_seeds(cfg.shuffle_seed, 2)
-    net = init_network(_mlp_specs(X.shape[1], hidden, 2, "identity", dropout), init_seed)
+    net = init_network(_mlp_specs(X.shape[1], SHARED_HIDDEN, 2, "identity"), init_seed)
     cfg = dataclasses.replace(cfg, loss="mse", shuffle_seed=loop_seed)
     (net,), _ = train_nets([net], [X], Y.reshape(-1, 1), cfg, _SHARED_HEAD, Z.reshape(-1, 1))
     return SharedModel(net)
 
 
-def fit_bcf(
-    X,
-    Z,
-    Y,
-    pi_hat,
-    cfg: TrainConfig,
-    alpha_hidden=BCF_ALPHA_HIDDEN,
-    beta_hidden=BCF_BETA_HIDDEN,
-    dropout=DROPOUT_RATE,
-) -> BcfModel:
+def fit_bcf(X, Z, Y, pi_hat, cfg: TrainConfig) -> BcfModel:
     """Jointly train the split prognostic/effect networks.
 
     Both networks are updated simultaneously each minibatch from the single
@@ -206,8 +193,8 @@ def fit_bcf(
         raise ValueError("pi_hat must lie strictly inside (0, 1)")
     a_seed, b_seed, loop_seed = _spawn_seeds(cfg.shuffle_seed, 3)
     d = X.shape[1]
-    alpha_net = init_network(_mlp_specs(d + 1, alpha_hidden, 1, "identity", dropout), a_seed)
-    beta_net = init_network(_mlp_specs(d, beta_hidden, 1, "identity", dropout), b_seed)
+    alpha_net = init_network(_mlp_specs(d + 1, BCF_ALPHA_HIDDEN, 1, "identity"), a_seed)
+    beta_net = init_network(_mlp_specs(d, BCF_BETA_HIDDEN, 1, "identity"), b_seed)
     cfg = dataclasses.replace(cfg, loss="mse", shuffle_seed=loop_seed)
     inputs = [np.column_stack([X, pi_hat]), X]
     (alpha_net, beta_net), _ = train_nets(
@@ -216,9 +203,7 @@ def fit_bcf(
     return BcfModel(alpha_net, beta_net)
 
 
-def fit_naive(
-    X, Z, Y, cfg: TrainConfig, hidden=NAIVE_HIDDEN, dropout=DROPOUT_RATE
-) -> NaiveModel:
+def fit_naive(X, Z, Y, cfg: TrainConfig) -> NaiveModel:
     """Fit one outcome network per treatment arm.
 
     Each arm trains on its own subset (batch size clamped to the subset
@@ -231,7 +216,7 @@ def fit_naive(
     seeds = _spawn_seeds(cfg.shuffle_seed, 4)
     nets = []
     for mask, init_seed, loop_seed in ((treated, seeds[0], seeds[2]), (~treated, seeds[1], seeds[3])):
-        net = init_network(_mlp_specs(X.shape[1], hidden, 1, "identity", dropout), init_seed)
+        net = init_network(_mlp_specs(X.shape[1], NAIVE_HIDDEN, 1, "identity"), init_seed)
         batch = min(cfg.batch_size, int(mask.sum()))
         sub_cfg = dataclasses.replace(cfg, loss="mse", shuffle_seed=loop_seed, batch_size=batch)
         net, _ = train(net, X[mask], Y[mask].reshape(-1, 1), sub_cfg)

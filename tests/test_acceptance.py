@@ -11,7 +11,7 @@ import time
 import numpy as np
 from helpers import brute_best_split, max_scaled_error, numerical_grads
 
-from deepcate import cli, dgp, nn
+from deepcate import cli, dgp, harness, nn
 from deepcate.harness import (
     ExperimentConfig,
     fit_moderator_tree,
@@ -174,6 +174,30 @@ def test_c05_ols_bias_reproduction():
         ok,
         f"mean estimate {row.mean_beta_hat:.3f} (window [1.8, 2.2]), "
         f"rmse {row.mean_rmse:.3f} (window [1.8, 2.2]), elapsed {elapsed:.1f}s",
+    )
+
+
+def test_c05_windows_exceed_the_bias_cap_on_the_frozen_design():
+    # The executable form of C5's known limitation, on the design C5 fits
+    # (base seed 42, n=1000): cov(Z, alpha) = cov(pi, alpha) <=
+    # sd(alpha)*sd(pi), so an effect estimate's confounding bias is at
+    # most sd(alpha)*sd(pi) / var(Z), and the true ATE plus that cap
+    # stays below the window floor of 1.8.
+    cfg = ExperimentConfig(
+        sample_sizes=(1000,), n_trials=1, regime="small", methods=("ols",), base_seed=BASE_SEED
+    )
+    design = harness._make_design(cfg, 1000)
+    alpha = dgp.true_alpha(design.X)
+    pi = dgp.true_pi(alpha, design.u)
+    sd_product = alpha.std(ddof=1) * pi.std(ddof=1)
+    p = pi.mean()
+    cap = sd_product / (p * (1.0 - p))
+    ate = dgp.true_beta(design.X, "small").mean()
+    report(
+        "C5 bias cap",
+        np.cov(alpha, pi)[0, 1] <= sd_product and ate + cap < 1.8,
+        f"sd(alpha)*sd(pi) {sd_product:.3f}, P(Z=1) {p:.3f}, bias cap {cap:.3f}, "
+        f"true ATE + cap {ate + cap:.3f} (window floor 1.8)",
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -449,7 +450,7 @@ NON_DEFAULT_ARGV = {
         "--regime", "large", "--n", "100,200", "--trials", "3", "--test-size", "500",
         "--methods", "bcf,ols", "--seed", "9", "--kappa", "0.5", "--threads", "2",
         "--epochs", "10", "--batch-size", "32", "--lr", "0.01", "--propensity-epochs", "7",
-        "--redraw-z", "false", "--standardize-y", "true",
+        "--redraw-z", "false",
     ],
     "analyze": [
         "--data", str(FIXTURE), "--schema", str(SCHEMA), "--seed", "4", "--epochs", "77",
@@ -526,6 +527,11 @@ class TestBadSettingsExitBeforeAnyFit:
             (SMALL_SIMULATE + ["--batch-size", "0"], "batch_size must be >= 1"),
             (SMALL_SIMULATE + ["--lr", "0"], "lr must be > 0"),
             (SMALL_SIMULATE + ["--propensity-epochs", "0"], "propensity epochs must be >= 1"),
+            (SMALL_SIMULATE + ["--kappa", "nan"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--kappa", "inf"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--kappa", "-1"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--kappa", "0"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--n", "30,30"], "sample sizes must be distinct"),
             (SMALL_ANALYZE + ["--epochs", "0"], "epochs must be >= 1"),
             (SMALL_ANALYZE + ["--propensity-epochs", "0"], "propensity epochs must be >= 1"),
             (SMALL_ANALYZE + ["--batch-size", "-3"], "batch_size must be >= 1"),
@@ -553,3 +559,123 @@ class TestBadSettingsExitBeforeAnyFit:
             cli.AnalyzeConfig(data="d", schema="s", methods=("ols",))
         with pytest.raises(cli.ConfigError, match="at least one method"):
             cli.AnalyzeConfig(data="d", schema="s", methods=())
+
+
+class TestTextEncodings:
+    """Inputs are UTF-8 with an optional byte-order mark; any other byte
+    is a data error (CSV, schema) or a config error (config file) that
+    names where it is."""
+
+    def test_bom_fixture_and_schema_load(self, tmp_path):
+        csv_path = tmp_path / "sleep.csv"
+        csv_path.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_bytes(b"\xef\xbb\xbf" + SCHEMA.read_bytes())
+        schema = cli.load_schema(schema_path)
+        assert schema == cli.load_schema(SCHEMA)
+        data = cli.load_dataset(csv_path, schema)
+        assert np.array_equal(data.X, cli.load_dataset(FIXTURE, schema).X)
+
+    def test_bom_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfmode = simulate\ntrials = 3\n")
+        cfg = cli.parse_config(["simulate", "--config", str(path)])
+        assert cfg.experiment.n_trials == 3
+
+    def test_non_utf8_csv_exits_3_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b,z,y\n1,0,yes,1\n3,1,n\xf6,2\n2,5,no,0.5\n")
+        out = tmp_path / "out"
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(
+            {"outcome": "y", "treatment": {"column": "z", "positive": "yes"},
+             "features": [{"name": "a"}, {"name": "b"}]}
+        ))
+        argv = ["analyze", "--data", str(path), "--schema", str(schema), "--out-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"{path}: line 3: byte 0xf6 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_schema_exits_3_naming_the_path(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_bytes(SCHEMA.read_bytes().replace(b"Gender", b"G\xe9nder"))
+        argv = ["analyze", "--data", str(FIXTURE), "--schema", str(schema),
+                "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"cannot read schema {schema}: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2_naming_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"mode = simulate\r\n# caf\xe9\r\ntrials = 3\r\n")
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"{path}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    @settings(max_examples=60)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-1e3, 1e3),
+                st.integers(0, 3),
+                st.sampled_from(["yes", "no"]),
+                st.floats(-1e3, 1e3),
+                st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        bom=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        quote_all=st.booleans(),
+        duplicate_header=st.booleans(),
+        stray=st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.integers(0x80, 0xFF))),
+    )
+    def test_load_dataset_parses_or_raises_data_error(
+        self, tmp_path_factory, rows, bom, newline, quote_all, duplicate_header, stray
+    ):
+        """BOM, CRLF, quoted cells with commas, a duplicate header and a
+        stray non-UTF-8 byte: load_dataset either parses, to the same
+        arrays as the plain file, or raises DataError."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        header = ["a", "b", "z", "y", "note"] + (["note"] if duplicate_header else [])
+        body = [[repr(a), b, z, repr(y), note] + ([note] if duplicate_header else [])
+                for a, b, z, y, note in rows]
+
+        def csv_bytes(newline, quoting):
+            buf = io.StringIO()
+            w = csv.writer(buf, lineterminator=newline, quoting=quoting)
+            w.writerow(header)
+            w.writerows(body)
+            return buf.getvalue().encode("utf-8")
+
+        plain = tmp / "plain.csv"
+        plain.write_bytes(csv_bytes("\n", csv.QUOTE_MINIMAL))
+        data = csv_bytes(newline, csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+        line = None
+        if stray is not None:
+            at = stray[0] % (len(data) + 1)
+            line = data.count(b"\n", 0, at) + 1
+            data = data[:at] + bytes([stray[1]]) + data[at:]
+        path = tmp / "variant.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + data)
+
+        try:
+            got = cli.load_dataset(path, toy_schema())
+        except cli.DataError as exc:
+            got = exc
+        if line is not None:
+            assert isinstance(got, cli.DataError)
+            assert f"line {line}: byte 0x{stray[1]:02x} is not UTF-8" in str(got)
+        elif duplicate_header:
+            assert isinstance(got, cli.DataError)
+            assert "duplicate column names" in str(got)
+        else:
+            try:
+                want = cli.load_dataset(plain, toy_schema())
+            except cli.DataError as exc:
+                assert isinstance(got, cli.DataError) and str(got) == str(exc).replace(
+                    str(plain), str(path)
+                )
+            else:
+                assert not isinstance(got, cli.DataError), got
+                for field in ("X", "Y", "Z"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -106,6 +106,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_cfg(sample_sizes=())
 
+    def test_rejects_repeated_sample_size(self):
+        # both copies would append to one cell, doubling its trial count
+        with pytest.raises(ValueError, match="sample sizes must be distinct"):
+            tiny_cfg(sample_sizes=(60, 60))
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_kappa_not_finite_and_positive(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite and > 0"):
+            tiny_cfg(kappa=kappa)
+
 
 class TestRunExperiment:
     def test_table_structure_and_truth_invariance(self, tmp_path):
