@@ -527,17 +527,17 @@ class TestBadSettingsExitBeforeAnyFit:
             (SMALL_SIMULATE + ["--batch-size", "0"], "batch_size must be >= 1"),
             (SMALL_SIMULATE + ["--lr", "0"], "lr must be > 0"),
             (SMALL_SIMULATE + ["--propensity-epochs", "0"], "propensity epochs must be >= 1"),
-            (SMALL_SIMULATE + ["--kappa", "nan"], "kappa must be finite and > 0"),
-            (SMALL_SIMULATE + ["--kappa", "inf"], "kappa must be finite and > 0"),
-            (SMALL_SIMULATE + ["--kappa", "-1"], "kappa must be finite and > 0"),
-            (SMALL_SIMULATE + ["--kappa", "0"], "kappa must be finite and > 0"),
-            (SMALL_SIMULATE + ["--n", "30,30"], "sample sizes must be distinct"),
             (SMALL_ANALYZE + ["--epochs", "0"], "epochs must be >= 1"),
             (SMALL_ANALYZE + ["--propensity-epochs", "0"], "propensity epochs must be >= 1"),
             (SMALL_ANALYZE + ["--batch-size", "-3"], "batch_size must be >= 1"),
             (SMALL_ANALYZE + ["--lr", "-0.1"], "lr must be > 0"),
             (SMALL_ANALYZE + ["--tree-depth", "0"], "max_depth must be >= 1"),
             (SMALL_ANALYZE + ["--tree-min-leaf", "0"], "min_leaf must be >= 1"),
+            (SMALL_SIMULATE + ["--kappa", "nan"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--kappa", "inf"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--kappa", "-1"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--kappa", "0"], "kappa must be finite and > 0"),
+            (SMALL_SIMULATE + ["--n", "30,30"], "sample sizes must be distinct"),
         ],
     )
     def test_exit_2_and_nothing_written(self, argv, message, tmp_path, capsys):
