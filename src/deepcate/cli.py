@@ -212,7 +212,11 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
-    rows = list(reader)
+    rows = []  # (line the row starts on, cells): a quoted cell may span lines
+    start = reader.line_num + 1
+    for row in reader:
+        rows.append((start, row))
+        start = reader.line_num + 1
 
     header = [h.strip() for h in header]
     dupes = {h for h in header if header.count(h) > 1}
@@ -225,8 +229,7 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
         raise DataError(f"{path}: missing columns {missing}")
 
     missing_lines = []
-    for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
+    for line_no, row in rows:
         if len(row) != len(header):
             raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
         for name in needed:
@@ -244,8 +247,7 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
     Y = np.empty(n, dtype=np.float64)
     Z = np.empty(n, dtype=np.float64)
     treatment_levels = set()
-    for i, row in enumerate(rows):
-        line_no = i + 2
+    for i, (line_no, row) in enumerate(rows):
         for j, spec in enumerate(schema.features):
             X[i, j] = _code_cell(row[col[spec.name]], spec, line_no)
         try:

@@ -17,15 +17,19 @@ Bernoulli(1/2)) plus a uniform jitter u that enters only the propensity:
 
 where s(alpha) is the sample standard deviation of the realized alpha
 vector and Phi the standard normal CDF, so every pi lies in (0.10, 0.90).
+
+Phi(x) = (1 + erf(x / sqrt(2))) / 2, with erf from the standard library's
+`math.erf` applied entry by entry (within about 1e-16 of the exact value
+over [-8, 8]), so the package needs numpy and nothing else at run time.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 REGIMES = ("small", "large")
 
@@ -35,9 +39,12 @@ N_COVARIATES = 5
 def norm_cdf(x):
     """Standard normal CDF, Phi(x) = (1 + erf(x / sqrt(2))) / 2.
 
-    Accepts scalars or arrays; accurate to well below 1e-7 absolute.
+    Accepts scalars (returning a float) or arrays of any shape; accurate
+    to about 1e-16 absolute.
     """
-    out = 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / np.sqrt(2.0)))
+    t = np.asarray(x, dtype=np.float64) / np.sqrt(2.0)
+    erf = np.fromiter(map(math.erf, t.ravel().tolist()), np.float64, t.size).reshape(t.shape)
+    out = 0.5 * (1.0 + erf)
     if np.isscalar(x):
         return float(out)
     return out
@@ -55,8 +62,8 @@ class DgpConfig:
             raise ValueError("n must be >= 2 (sd of alpha is undefined below that)")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be > 0")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be finite and > 0")
 
 
 @dataclass(frozen=True)

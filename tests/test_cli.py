@@ -126,6 +126,16 @@ class TestLoadDataset:
         with pytest.raises(cli.DataError, match="line 3.*'a'"):
             cli.load_dataset(path, toy_schema())
 
+    def test_line_numbers_count_physical_lines_after_a_multiline_cell(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text('a,b,z,y,note\n1,0,yes,1,"two\nlines"\n2,1,no,x,ok\n', encoding="utf-8")
+        schema = toy_schema()
+        with pytest.raises(cli.DataError, match=r"^line 4: outcome 'y' has unparseable cell 'x'"):
+            cli.load_dataset(path, schema)
+        path.write_text('a,b,z,y,note\n1,0,yes,1,"two\nlines"\n2,1,no,,ok\n', encoding="utf-8")
+        with pytest.raises(cli.DataError, match=r"missing values on lines \[4\]"):
+            cli.load_dataset(path, schema)
+
     def test_single_class_treatment(self, tmp_path):
         path = tmp_path / "toy.csv"
         write_csv(path, ["a", "b", "z", "y"], [[1, 0, "yes", 1], [2, 1, "yes", 2]])

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -32,6 +33,30 @@ class TestNormCdf:
     def test_symmetry(self):
         xs = np.linspace(-6, 6, 101)
         np.testing.assert_allclose(dgp.norm_cdf(xs) + dgp.norm_cdf(-xs), 1.0, atol=1e-14)
+
+    def test_within_5e_16_of_mpmath_on_a_grid(self):
+        xs = np.linspace(-8.0, 8.0, 2001)
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.ncdf(float(x))) for x in xs])
+        np.testing.assert_allclose(dgp.norm_cdf(xs), exact, rtol=0, atol=5e-16)
+
+    @pytest.mark.parametrize("x", [0.5, -1, np.float64(1.96)])
+    def test_scalar_returns_float(self, x):
+        out = dgp.norm_cdf(x)
+        assert type(out) is float
+        assert out == dgp.norm_cdf(np.array([x]))[0]
+
+    def test_zero_d_array_keeps_zero_d(self):
+        out = dgp.norm_cdf(np.array(1.0))
+        assert np.shape(out) == ()
+        assert out == pytest.approx(NORM_CDF_ORACLE[1.0], abs=5e-16)
+
+    def test_two_d_array_keeps_its_shape(self):
+        xs = np.array(sorted(NORM_CDF_ORACLE)[:6]).reshape(2, 3)
+        out = dgp.norm_cdf(xs)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out.ravel(), dgp.norm_cdf(xs.ravel()))
 
 
 class TestCovariates:
@@ -115,6 +140,17 @@ class TestPropensity:
         expected = 0.70 * dgp.norm_cdf(alpha / alpha.std(ddof=1) - 3.5) + u / 10 + 0.10
         np.testing.assert_allclose(dgp.true_pi(alpha, u), expected, atol=1e-14)
 
+    def test_within_1e_15_of_mpmath(self, rng):
+        alpha = rng.normal(size=500) * 2.0
+        u = rng.random(500)
+        t = alpha / alpha.std(ddof=1) - 3.5
+        with mpmath.workdps(40):
+            exact = np.array(
+                [float(0.70 * mpmath.ncdf(float(ti)) + mpmath.mpf(float(ui)) / 10 + mpmath.mpf("0.1"))
+                 for ti, ui in zip(t, u)]
+            )
+        np.testing.assert_allclose(dgp.true_pi(alpha, u), exact, rtol=0, atol=1e-15)
+
     def test_standardized_ratio_of_3_5_gives_0_45(self):
         # closed form for a vector whose last entry sits exactly 3.5 sample
         # sds out: k symmetric base points of square-sum S plus outlier x,
@@ -188,6 +224,11 @@ class TestSampleDgp:
             dgp.DgpConfig(n=10, regime="medium")
         with pytest.raises(ValueError):
             dgp.DgpConfig(n=10, regime="small", kappa=0.0)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_kappa_not_finite_and_positive(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite and > 0"):
+            dgp.DgpConfig(n=10, regime="small", kappa=kappa, seed=1)
 
     def test_csv_round_trip(self, tmp_path):
         s = dgp.sample_dgp(dgp.DgpConfig(n=50, regime="small", kappa=1.0, seed=10))
