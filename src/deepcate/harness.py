@@ -255,11 +255,11 @@ def run_trial(
     )
     alpha = truth.alpha(X_train)
     beta = truth.beta(X_train)
-    pi = truth.pi(alpha, u_train)
     n = X_train.shape[0]
     if fixed_z is not None:
         Z = np.asarray(fixed_z, dtype=np.float64)
     else:
+        pi = truth.pi(alpha, u_train)
         Z = (np.random.default_rng(z_seed).random(n) < pi).astype(np.float64)
     if method in ("bcf", "naive") and Z.min() == Z.max():
         # the propensity net and the per-arm nets need both arms

@@ -207,18 +207,18 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward(net: MlpNetwork, X: np.ndarray, rng) -> tuple[np.ndarray, list[LayerCache]]:
-    """The forward pass; rng draws the dropout masks, None in eval mode.
-    Callers silence overflow warnings: a non-finite output raises here."""
+    """The forward pass; rng draws the dropout masks, None in eval mode."""
     caches = []
     a = X
-    for spec, w, b in zip(net.layers, net.weights, net.biases):
-        z = a @ w + b
-        h = _activate(z, spec.activation)
-        mask = None
-        if rng is not None and spec.dropout_rate > 0.0:
-            mask = (rng.random(h.shape) >= spec.dropout_rate) / (1.0 - spec.dropout_rate)
-        caches.append(LayerCache(a, z, h, mask))
-        a = h if mask is None else h * mask
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec, w, b in zip(net.layers, net.weights, net.biases):
+            z = a @ w + b
+            h = _activate(z, spec.activation)
+            mask = None
+            if rng is not None and spec.dropout_rate > 0.0:
+                mask = (rng.random(h.shape) >= spec.dropout_rate) / (1.0 - spec.dropout_rate)
+            caches.append(LayerCache(a, z, h, mask))
+            a = h if mask is None else h * mask
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite network output")
     return a, caches
@@ -239,8 +239,7 @@ def forward(
     if X.shape[1] != net.in_dim:
         raise ValueError(f"X has {X.shape[1]} columns, network expects {net.in_dim}")
     rng = np.random.default_rng(dropout_seed) if training else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, caches = _forward(net, X, rng)
+    out, caches = _forward(net, X, rng)
     return out, ForwardCache(tuple(caches), out, training)
 
 
@@ -274,21 +273,6 @@ def loss_gradient(pred: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray
         p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
         return (p - target) / (p * (1.0 - p)) / pred.size
     raise ValueError(f"unknown loss {kind!r}")
-
-
-def _loss_and_gradient(pred: np.ndarray, target: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
-    """compute_loss and loss_gradient from one difference (mse) or one
-    clip (bce), bit for bit; the caller has checked target once."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if kind == "mse":
-        d = pred - target
-        return float(np.mean(d**2)), 2.0 * d / pred.size
-    if pred.min() < -1e-9 or pred.max() > 1.0 + 1e-9:
-        raise ValueError("bce predictions must lie in (0, 1)")
-    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    loss = float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log1p(-p))))
-    return loss, (p - target) / (p * (1.0 - p)) / pred.size
 
 
 def _backward(net: MlpNetwork, caches, dout: np.ndarray, grad_weights, grad_biases) -> None:
@@ -419,37 +403,35 @@ def train_nets(
     for net, X in zip(nets, inputs):
         if X.shape != (n, net.in_dim):
             raise ValueError(f"X has shape {X.shape}, expected ({n}, {net.in_dim})")
-    if cfg.loss == "bce" and not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("bce targets must be 0/1")
     trainees = [_Trainee(net) for net in nets]
     rng = np.random.default_rng(cfg.shuffle_seed)
     t = 0
     history = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            epoch_loss = 0.0
-            for idx in minibatches(n, cfg.batch_size, rng):
-                try:  # one dropout seed per network, drawn in network order
-                    passes = [
-                        _forward(tr.net, X[idx], np.random.default_rng(int(rng.integers(0, 2**63 - 1))))
-                        for tr, X in zip(trainees, inputs)
-                    ]
-                except FloatingPointError as exc:
-                    raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
-                zb = None if z is None else z[idx]
-                pred = head.predict([out for out, _ in passes], zb)
-                loss, dpred = _loss_and_gradient(pred, y[idx], cfg.loss)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"epoch {epoch}: non-finite loss ({loss})")
-                for tr, (_, caches), dout in zip(trainees, passes, head.split(dpred, zb)):
-                    _backward(tr.net, caches, dout, tr.grad_weights, tr.grad_biases)
-                    if not np.isfinite(tr.grad).all():
-                        raise TrainingDivergedError(f"epoch {epoch}: non-finite gradient")
-                t += 1
-                for tr in trainees:
-                    _adam_step(tr.net.params, tr.grad, tr.m, tr.v, t, cfg.lr)
-                epoch_loss += loss * len(idx)
-            history.append(epoch_loss / n)
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        for idx in minibatches(n, cfg.batch_size, rng):
+            try:  # one dropout seed per network, drawn in network order
+                passes = [
+                    _forward(tr.net, X[idx], np.random.default_rng(int(rng.integers(0, 2**63 - 1))))
+                    for tr, X in zip(trainees, inputs)
+                ]
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
+            zb = None if z is None else z[idx]
+            pred = head.predict([out for out, _ in passes], zb)
+            loss = compute_loss(pred, y[idx], cfg.loss)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"epoch {epoch}: non-finite loss ({loss})")
+            douts = head.split(loss_gradient(pred, y[idx], cfg.loss), zb)
+            for tr, (_, caches), dout in zip(trainees, passes, douts):
+                _backward(tr.net, caches, dout, tr.grad_weights, tr.grad_biases)
+                if not np.isfinite(tr.grad).all():
+                    raise TrainingDivergedError(f"epoch {epoch}: non-finite gradient")
+            t += 1
+            for tr in trainees:
+                _adam_step(tr.net.params, tr.grad, tr.m, tr.v, t, cfg.lr)
+            epoch_loss += loss * len(idx)
+        history.append(epoch_loss / n)
     return tuple(tr.net._over(tr.net.params.copy()) for tr in trainees), history
 
 
