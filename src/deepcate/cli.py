@@ -20,13 +20,12 @@ and can be fed back via --config.
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import io
 import json
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,14 @@ from .harness import (
     run_experiment,
     train_config,
 )
-from .metrics import ResultsTable, read_results_csv, write_results_csv
+from .metrics import (
+    ResultsTable,
+    _NotUtf8,
+    _read_utf8,
+    read_results_csv,
+    write_csv,
+    write_results_csv,
+)
 from .models import predict_cate, predict_prognostic
 
 EXIT_OK = 0
@@ -62,25 +68,6 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Unusable input data (schema violations, unparseable cells, ...)."""
-
-
-class _NotUtf8(ValueError):
-    """A text input holds a byte sequence that is not UTF-8."""
-
-    def __init__(self, line: int, byte: int):
-        super().__init__(f"byte 0x{byte:02x} is not UTF-8")
-        self.line = line
-
-
-def _read_utf8(path) -> str:
-    """The text of a UTF-8 file, with or without a byte-order mark (like
-    the utf-8-sig codec); _NotUtf8 names the line of a bad byte."""
-    with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _NotUtf8(raw.count(b"\n", 0, exc.start) + 1, raw[exc.start]) from None
 
 
 # --- dataset schema and loading ----------------------------------------
@@ -392,11 +379,8 @@ def run_sleep_analysis(data: StandardizedDataset, cfg: AnalyzeConfig) -> SleepAn
 def write_analysis_outputs(analysis: SleepAnalysis, data: StandardizedDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "analysis.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["method", "mean_cate", "mean_prognostic"])
-        for row in analysis.rows:
-            w.writerow([row.method, repr(row.mean_cate), repr(row.mean_prognostic)])
+    header = tuple(f.name for f in fields(MethodSummary))
+    write_csv(out / "analysis.csv", header, map(astuple, analysis.rows))
     with open(out / "analysis.md", "w", encoding="utf-8") as fh:
         fh.write("| Method | CATE Estimate | Mean Prognostic |\n")
         fh.write("| --- | --- | --- |\n")
@@ -423,11 +407,11 @@ def write_analysis_outputs(analysis: SleepAnalysis, data: StandardizedDataset, o
     with open(out / "moderator_tree.json", "w", encoding="utf-8") as fh:
         fh.write(analysis.tree.to_json())
         fh.write("\n")
-    with open(out / "alpha_vs_pi.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["alpha_hat", "pi_hat"])
-        for a, p in zip(analysis.alpha_hat, analysis.pi_hat):
-            w.writerow([repr(float(a)), repr(float(p))])
+    write_csv(
+        out / "alpha_vs_pi.csv",
+        ("alpha_hat", "pi_hat"),
+        zip(analysis.alpha_hat.tolist(), analysis.pi_hat.tolist()),
+    )
 
 
 # --- report emission -----------------------------------------------------
@@ -709,6 +693,8 @@ def main(argv=None) -> int:
         else:
             try:
                 table = read_results_csv(cfg.results_path)
+                if not table.rows:
+                    raise ValueError("line 2: no data rows")
             except (OSError, ValueError) as exc:
                 raise DataError(f"cannot read results {cfg.results_path}: {exc}") from exc
             write_effective_config(cfg)

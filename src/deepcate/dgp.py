@@ -25,11 +25,12 @@ over [-8, 8]), so the package needs numpy and nothing else at run time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .metrics import read_csv, write_csv
 
 REGIMES = ("small", "large")
 
@@ -177,39 +178,16 @@ SAMPLE_CSV_COLUMNS = (
 
 def write_sample_csv(sample: DgpSample, path) -> None:
     """Dump a sample for external verification, one row per unit."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SAMPLE_CSV_COLUMNS)
-        for i in range(sample.n):
-            row = [
-                *sample.X[i],
-                sample.u[i],
-                sample.Z[i],
-                sample.Y[i],
-                sample.alpha_true[i],
-                sample.beta_true[i],
-                sample.pi_true[i],
-                sample.sigma,
-            ]
-            writer.writerow([repr(float(v)) for v in row])
+    truth = (sample.alpha_true, sample.beta_true, sample.pi_true, np.full(sample.n, sample.sigma))
+    data = np.column_stack((sample.X, sample.u, sample.Z, sample.Y, *truth))
+    write_csv(path, SAMPLE_CSV_COLUMNS, data.tolist())
 
 
 def read_sample_csv(path) -> DgpSample:
-    """Inverse of write_sample_csv."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SAMPLE_CSV_COLUMNS:
-            raise ValueError(f"unexpected columns {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows, dtype=np.float64)
-    return DgpSample(
-        X=data[:, 0:5],
-        u=data[:, 5],
-        Z=data[:, 6],
-        Y=data[:, 7],
-        alpha_true=data[:, 8],
-        beta_true=data[:, 9],
-        pi_true=data[:, 10],
-        sigma=float(data[0, 11]),
-    )
+    """Inverse of write_sample_csv; raises ValueError on a malformed file."""
+    rows = read_csv(path, SAMPLE_CSV_COLUMNS)
+    if not rows:
+        raise ValueError("line 2: no data rows")
+    data = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
+    u, Z, Y, alpha, beta, pi, sigma = data[:, 5:].T
+    return DgpSample(data[:, :5], u, Z, Y, alpha, beta, pi, float(sigma[0]))

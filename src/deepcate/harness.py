@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import ctypes
-import csv
 import json
 import logging
 import math
@@ -46,6 +45,7 @@ from .metrics import (
     TrialMetrics,
     aggregate_results,
     trial_metrics,
+    write_csv,
     write_results_csv,
 )
 from .models import (
@@ -488,27 +488,21 @@ def write_experiment_outputs(table: ResultsTable, records: list[TrialRecord], ou
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(table, out / "results.csv")
     for name, column in (("bias_vs_n.csv", "mean_abs_bias"), ("rmse_vs_n.csv", "mean_rmse")):
-        with open(out / name, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["method", "n", "regime", column])
-            for r in table.rows:
-                w.writerow([r.method, r.n, r.regime, repr(getattr(r, column))])
+        write_csv(
+            out / name,
+            ("method", "n", "regime", column),
+            ((r.method, r.n, r.regime, getattr(r, column)) for r in table.rows),
+        )
     # long format: one row per completed trial, so per-trial method pairs
     # (e.g. shared vs bcf bias) can be pivoted out per (n, trial_index)
-    with open(out / "trial_scatter.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["regime", "n", "trial", "method", "abs_bias", "rmse"])
-        for rec in records:
-            w.writerow(
-                [
-                    rec.regime,
-                    rec.n,
-                    rec.trial_index,
-                    rec.method,
-                    repr(rec.metrics.abs_bias),
-                    repr(rec.metrics.rmse),
-                ]
-            )
+    write_csv(
+        out / "trial_scatter.csv",
+        ("regime", "n", "trial", "method", "abs_bias", "rmse"),
+        (
+            (rec.regime, rec.n, rec.trial_index, rec.method, rec.metrics.abs_bias, rec.metrics.rmse)
+            for rec in records
+        ),
+    )
 
 
 # --- moderator tree ----------------------------------------------------

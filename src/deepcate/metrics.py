@@ -1,11 +1,19 @@
 """Estimands and evaluation: the IPW estimator of the average treatment
 effect, and the per-trial / aggregated metrics reported by the benchmark.
+
+It also owns the on-disk table format (UTF-8, LF line ends, floats as
+repr, None as an empty cell): every CSV the package writes or reads back
+goes through write_csv and read_csv.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import dataclasses
+import io
 import logging
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,67 +157,85 @@ def aggregate_results(
     )
 
 
-RESULTS_CSV_COLUMNS = (
-    "method",
-    "n",
-    "regime",
-    "trials",
-    "mean_beta_hat",
-    "true_ate",
-    "true_mean_alpha",
-    "mean_runtime_s",
-    "mean_correlation",
-    "mean_rmse",
-    "mean_abs_bias",
-)
+class _NotUtf8(ValueError):
+    """A text input holds a byte sequence that is not UTF-8."""
+
+    def __init__(self, line: int, byte: int):
+        super().__init__(f"byte 0x{byte:02x} is not UTF-8")
+        self.line = line
+
+
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file, with or without a byte-order mark (like
+    the utf-8-sig codec); _NotUtf8 names the line of a bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _NotUtf8(raw.count(b"\n", 0, exc.start) + 1, raw[exc.start]) from None
+
+
+def _cell(value):
+    if isinstance(value, float):  # np.float64 included: it subclasses float
+        return repr(float(value))
+    return "" if value is None else value
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a headered table: UTF-8, LF line ends, floats as repr and
+    None as an empty cell; any other cell as csv writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The data rows of a table written by write_csv, as strings.
+
+    A leading byte-order mark is skipped. Raises ValueError, naming the
+    line, for a byte that is not UTF-8, an empty file, a header other
+    than `header`, or a row whose length differs from the header's.
+    """
+    try:
+        text = _read_utf8(path)
+    except _NotUtf8 as exc:
+        raise ValueError(f"line {exc.line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    found = next(reader, None)
+    if found is None:
+        raise ValueError("line 1: empty file, expected a header")
+    if tuple(found) != tuple(header):
+        raise ValueError(f"line 1: unexpected columns {found}")
+    rows = []
+    start = reader.line_num + 1  # a quoted cell may span lines
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(f"line {start}: expected {len(header)} cells, got {len(row)}")
+        rows.append(row)
+        start = reader.line_num + 1
+    return rows
+
+
+RESULTS_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
+
+# a results cell's parser, by the resolved type of its ResultRow field
+_PARSE_CELL = {str: str, int: int, float: float, float | None: lambda t: float(t) if t else None}
 
 
 def write_results_csv(table: ResultsTable, path) -> None:
     """Emit the aggregated table; float cells use repr so the file is
     bit-stable for identical inputs and round-trips exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_CSV_COLUMNS)
-        for r in table.rows:
-            writer.writerow(
-                [
-                    r.method,
-                    r.n,
-                    r.regime,
-                    r.trials,
-                    repr(r.mean_beta_hat),
-                    repr(r.true_ate),
-                    repr(r.true_mean_alpha),
-                    repr(r.mean_runtime_s),
-                    "" if r.mean_correlation is None else repr(r.mean_correlation),
-                    repr(r.mean_rmse),
-                    repr(r.mean_abs_bias),
-                ]
-            )
+    write_csv(path, RESULTS_CSV_COLUMNS, map(dataclasses.astuple, table.rows))
 
 
 def read_results_csv(path) -> ResultsTable:
     """Inverse of write_results_csv."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULTS_CSV_COLUMNS:
-            raise ValueError(f"unexpected columns {header}")
-        rows = []
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    method=rec[0],
-                    n=int(rec[1]),
-                    regime=rec[2],
-                    trials=int(rec[3]),
-                    mean_beta_hat=float(rec[4]),
-                    true_ate=float(rec[5]),
-                    true_mean_alpha=float(rec[6]),
-                    mean_runtime_s=float(rec[7]),
-                    mean_correlation=None if rec[8] == "" else float(rec[8]),
-                    mean_rmse=float(rec[9]),
-                    mean_abs_bias=float(rec[10]),
-                )
-            )
-    return ResultsTable(tuple(rows))
+    parsers = [_PARSE_CELL[t] for t in typing.get_type_hints(ResultRow).values()]
+    return ResultsTable(
+        tuple(
+            ResultRow(*(parse(cell) for parse, cell in zip(parsers, rec)))
+            for rec in read_csv(path, RESULTS_CSV_COLUMNS)
+        )
+    )

@@ -123,7 +123,6 @@ class LayerCache(NamedTuple):
 class ForwardCache(NamedTuple):
     layers: tuple[LayerCache, ...]
     output: np.ndarray
-    training: bool
 
 
 class Gradients(NamedTuple):
@@ -240,7 +239,7 @@ def forward(
         raise ValueError(f"X has {X.shape[1]} columns, network expects {net.in_dim}")
     rng = np.random.default_rng(dropout_seed) if training else None
     out, caches = _forward(net, X, rng)
-    return out, ForwardCache(tuple(caches), out, training)
+    return out, ForwardCache(tuple(caches), out)
 
 
 def compute_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:

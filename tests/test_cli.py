@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepcate import cli
-from deepcate.metrics import ResultRow, ResultsTable
+from deepcate.metrics import RESULTS_CSV_COLUMNS, ResultRow, ResultsTable
 
 FIXTURE = Path(__file__).parent / "data" / "sleep_synthetic.csv"
 SCHEMA = Path(__file__).parent.parent / "configs" / "sleep_schema.json"
@@ -689,3 +689,41 @@ class TestTextEncodings:
                 assert not isinstance(got, cli.DataError), got
                 for field in ("X", "Y", "Z"):
                     assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+class TestReportMalformedResults:
+    """report reads results.csv through the shared table codec: a
+    byte-order mark is skipped, and an empty file, a header with no rows
+    or a short row exits 3 naming the line, before any file is written."""
+
+    def results_text(self):
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(RESULTS_CSV_COLUMNS)
+        w.writerow(["bcf", 250, "small", 5, 0.5, 0.2, 1.9, 1.0, "", 0.4, 0.3])
+        return buf.getvalue()
+
+    def test_bom_results_read_like_plain(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + self.results_text().encode("utf-8"))
+        out = tmp_path / "out"
+        argv = ["report", "--results", str(path), "--format", "csv", "--out-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (out / "results.csv").read_text(encoding="utf-8") == self.results_text()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: "", "line 1: empty file"),
+            (lambda text: text.splitlines(keepends=True)[0], "line 2: no data rows"),
+            (lambda text: text + "ols,250,small\n", "line 3: expected 11 cells, got 3"),
+        ],
+        ids=["empty", "header_only", "short_row"],
+    )
+    def test_malformed_exits_3_before_writing(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "r.csv"
+        path.write_text(edit(self.results_text()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["report", "--results", str(path), "--out-dir", str(out)]) == cli.EXIT_DATA
+        assert f"data error: cannot read results {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()

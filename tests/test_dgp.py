@@ -239,3 +239,16 @@ class TestSampleDgp:
         np.testing.assert_array_equal(back.Y, s.Y)
         np.testing.assert_array_equal(back.pi_true, s.pi_true)
         assert back.sigma == s.sigma
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty file"),
+            (",".join(dgp.SAMPLE_CSV_COLUMNS) + "\n", "line 2: no data rows"),
+        ],
+    )
+    def test_read_rejects_empty_or_header_only(self, tmp_path, text, message):
+        path = tmp_path / "sample.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            dgp.read_sample_csv(path)

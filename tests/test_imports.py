@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +19,19 @@ def test_package_and_cli_import_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_csv_writer_only_in_metrics():
+    # the table format lives behind metrics.write_csv
+    callers = []
+    for path in sorted(Path(deepcate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "writer"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "csv"
+            ):
+                callers.append(path.name)
+    assert callers == ["metrics.py"]

@@ -209,3 +209,62 @@ class TestResultsCsv:
         assert table.row("naive", 500, "small").mean_rmse == pytest.approx(0.3)
         with pytest.raises(KeyError):
             table.row("bcf", 500, "small")
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2e-310, 1.7e308, -1.7e308]),
+)
+_cells = st.one_of(
+    _finite,
+    _finite.map(np.float64),
+    st.integers(),
+    st.none(),
+    st.text(st.sampled_from('ab ,"\n;é'), max_size=8),
+)
+
+
+class TestTableCodec:
+    @given(rows=st.lists(st.lists(_cells, min_size=3, max_size=3), max_size=6))
+    def test_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("codec") / "t.csv"
+        metrics.write_csv(path, ("a", "b", "c"), rows)
+        back = metrics.read_csv(path, ("a", "b", "c"))
+        assert len(back) == len(rows)
+        for row, got in zip(rows, back):
+            for cell, text in zip(row, got):
+                if isinstance(cell, float):
+                    assert np.float64(text).tobytes() == np.float64(cell).tobytes()
+                elif cell is None:
+                    assert text == ""
+                else:
+                    assert text == str(cell)
+
+    def test_skips_byte_order_mark(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+        assert metrics.read_csv(path, ("a", "b")) == [["1", "2"]]
+
+    def test_rejects_wrong_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        metrics.write_csv(path, ("a", "c"), [(1, 2)])
+        with pytest.raises(ValueError, match=r"line 1: unexpected columns \['a', 'c'\]"):
+            metrics.read_csv(path, ("a", "b"))
+
+    def test_rejects_short_row_naming_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('a,b\n"x\ny",2\n3\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="line 4: expected 2 cells, got 1"):
+            metrics.read_csv(path, ("a", "b"))
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="line 1: empty file"):
+            metrics.read_csv(path, ("a", "b"))
+
+    def test_rejects_non_utf8_naming_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(ValueError, match="line 3: byte 0xff is not UTF-8"):
+            metrics.read_csv(path, ("a", "b"))
