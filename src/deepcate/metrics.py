@@ -184,11 +184,17 @@ def _cell(value):
 
 def write_csv(path, header, rows) -> None:
     """Write a headered table: UTF-8, LF line ends, floats as repr and
-    None as an empty cell; any other cell as csv writes it."""
+    None as an empty cell; any other cell as csv writes it. Raises
+    ValueError, writing nothing, on a string cell with a carriage return."""
+    table = [[_cell(v) for v in row] for row in rows]
+    for number, cells in enumerate(table, 1):
+        for name, cell in zip(header, cells):
+            if isinstance(cell, str) and "\r" in cell:
+                raise ValueError(f"data row {number}, column {name!r}: cell holds a carriage return")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in rows)
+        writer.writerows(table)
 
 
 def read_csv(path, header) -> list[list[str]]:

@@ -9,6 +9,7 @@ A network keeps its parameters in one flat buffer with per-layer views.
 One loop, `train_nets`, trains every model through the model's `Head`:
 backward writes into a flat gradient buffer and one fused Adam step updates
 it in place. `forward`, `backward` and `adam_update` wrap the same parts.
+A pass writes each layer's activation over its pre-activation buffer.
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ class MlpNetwork:
 
 class LayerCache(NamedTuple):
     x: np.ndarray  # layer input
-    z: np.ndarray  # pre-activation
-    h: np.ndarray  # activation, before dropout
+    h: np.ndarray  # activation, before dropout, written over the pre-activation
     mask: np.ndarray | None  # inverted-dropout mask, None when inactive
 
 
@@ -188,21 +188,11 @@ def count_params(net: MlpNetwork) -> int:
     return int(net.params.size)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray) -> None:
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "sigmoid":
-        return _sigmoid(z)
-    return z
+    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    z[~pos] = ez / (1.0 + ez)
 
 
 def _forward(net: MlpNetwork, X: np.ndarray, rng) -> tuple[np.ndarray, list[LayerCache]]:
@@ -211,12 +201,16 @@ def _forward(net: MlpNetwork, X: np.ndarray, rng) -> tuple[np.ndarray, list[Laye
     a = X
     with np.errstate(over="ignore", invalid="ignore"):
         for spec, w, b in zip(net.layers, net.weights, net.biases):
-            z = a @ w + b
-            h = _activate(z, spec.activation)
+            h = a @ w  # the activation overwrites the pre-activation
+            h += b
+            if spec.activation == "relu":
+                np.maximum(h, 0.0, out=h)
+            elif spec.activation == "sigmoid":
+                _sigmoid(h)
             mask = None
             if rng is not None and spec.dropout_rate > 0.0:
                 mask = (rng.random(h.shape) >= spec.dropout_rate) / (1.0 - spec.dropout_rate)
-            caches.append(LayerCache(a, z, h, mask))
+            caches.append(LayerCache(a, h, mask))
             a = h if mask is None else h * mask
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite network output")
@@ -282,7 +276,7 @@ def _backward(net: MlpNetwork, caches, dout: np.ndarray, grad_weights, grad_bias
         if lc.mask is not None:
             g = g * lc.mask
         if net.layers[i].activation == "relu":
-            g = g * (lc.z > 0.0).astype(np.float64)
+            g = g * (lc.h > 0.0).astype(np.float64)  # relu(z) > 0 exactly where z > 0
         elif net.layers[i].activation == "sigmoid":
             g = g * (lc.h * (1.0 - lc.h))
         np.matmul(lc.x.T, g, out=grad_weights[i])
@@ -304,7 +298,7 @@ def backward_from_output(net: MlpNetwork, cache: ForwardCache, dout: np.ndarray)
     if dout.shape != cache.output.shape:
         raise ValueError("dout shape does not match cached output")
     for spec, lc in zip(net.layers, cache.layers):
-        if lc.x.shape[1] != spec.in_dim or lc.z.shape[1] != spec.out_dim:
+        if lc.x.shape[1] != spec.in_dim or lc.h.shape[1] != spec.out_dim:
             raise ValueError("cache does not match network shapes")
     grad_weights, grad_biases = _views(net.layers, np.empty_like(net.params))
     _backward(net, cache.layers, dout, grad_weights, grad_biases)

@@ -268,3 +268,10 @@ class TestTableCodec:
         path.write_bytes(b"a,b\n1,2\n3,\xff\n")
         with pytest.raises(ValueError, match="line 3: byte 0xff is not UTF-8"):
             metrics.read_csv(path, ("a", "b"))
+
+    def test_write_rejects_carriage_return_naming_row_and_column(self, tmp_path):
+        # csv quotes only the "\n" of the line terminator, so "\r" would split the row
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="data row 2, column 'b': cell holds a carriage return"):
+            metrics.write_csv(path, ("a", "b"), [("x", 1), (2.5, "x\ry")])
+        assert not path.exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -304,6 +305,18 @@ class TestPredict:
             out = models.predict_cate(m, X, pi_hat=np.full(10_000, 0.5))
             assert out.shape == (10_000,)
             assert np.isfinite(out).all()
+
+    def test_shared_eval_peak_memory_below_one_and_a_half_widest_layers(self, fitted_models):
+        # each activation overwrites its pre-activation, so a pass holds one buffer per layer
+        X, _ = dgp.gen_covariates(10_000, seed=3)
+        widest = 10_000 * max(models.SHARED_HIDDEN) * 8
+        tracemalloc.start()
+        try:
+            models.predict_cate(fitted_models["shared"], X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * widest
 
     @given(
         X=arrays(

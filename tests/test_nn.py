@@ -122,6 +122,23 @@ class TestForward:
             nn.forward(net, np.array([[np.inf, 0.0, 0.0]]))
 
 
+class TestInputSafety:
+    """forward and train_nets never write into the caller's X or network."""
+
+    @pytest.mark.parametrize("out_activation", ["identity", "sigmoid"])
+    def test_x_and_params_left_byte_identical(self, out_activation):
+        net = small_net(seed=4, dropout=0.3, activations=("relu", out_activation))
+        X = np.random.default_rng(5).normal(size=(16, 3))
+        y = (np.random.default_rng(6).random((16, 2)) < 0.5).astype(float)
+        X_bytes, params_bytes = X.tobytes(), net.params.tobytes()
+        nn.forward(net, X)
+        nn.forward(net, X, training=True, dropout_seed=7)
+        cfg = nn.TrainConfig(epochs=2, batch_size=8, loss="mse", lr=0.01, shuffle_seed=8)
+        nn.train_nets([net], [X], y, cfg)
+        assert X.tobytes() == X_bytes
+        assert net.params.tobytes() == params_bytes
+
+
 class TestLoss:
     def test_mse_zero_when_equal(self):
         pred = np.array([[1.0], [2.0]])
