@@ -1,3 +1,5 @@
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -212,6 +214,33 @@ class TestSampleDgp:
         b = dgp.sample_dgp(dgp.DgpConfig(n=100, regime="large", kappa=0.5, seed=8))
         np.testing.assert_array_equal(a.Y, b.Y)
         np.testing.assert_array_equal(a.Z, b.Z)
+
+    @pytest.mark.parametrize(
+        "regime, kappa, seed, digests, sigma",
+        [
+            (
+                "small", 1.0, 123,
+                ("10fd734be858868eb49fa027aadfabeb5e47bbf2836ae1157a5935f23ae471ed",
+                 "b95cf6cf686e92b8d39f9e20927a7351260e76360fe21e2bb7231deb0d6fd292",
+                 "b5eef199b7989024e4d88af49f0901a2d1fbd41e25d7f86d226c954135844079"),
+                "0x1.62eb4b19e6f94p-1",
+            ),
+            (
+                "large", 0.5, 124,
+                ("fe922e35277569df130c77c380642b2e497f6df912bc0ddc2b010121f821a583",
+                 "d09e19053ea1d74f6b59e61f9801f0db233b50ffad0b0bca4b8bc454a4fee38c",
+                 "91ee5112037268e0a27b154f9c5b8cf0f370fe6b34be6626cdea792eed7597c7"),
+                "0x1.5ee1c9466567bp-2",
+            ),
+        ],
+    )
+    def test_draw_is_pinned(self, regime, kappa, seed, digests, sigma):
+        # sha256 of the bytes of Z, Y and pi_true: a reordered or reseeded
+        # draw changes them, although it stays deterministic in the seed
+        s = dgp.sample_dgp(dgp.DgpConfig(n=200, regime=regime, kappa=kappa, seed=seed))
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (s.Z, s.Y, s.pi_true))
+        assert got == digests
+        assert s.sigma.hex() == sigma
 
     def test_sigma_is_sd_alpha_times_kappa(self):
         s = dgp.sample_dgp(dgp.DgpConfig(n=1000, regime="small", kappa=0.7, seed=9))

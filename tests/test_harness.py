@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -184,6 +185,20 @@ class TestRunExperiment:
         cfg = tiny_cfg(methods=("ols",), redraw_z=False, n_trials=2)
         table = run_experiment(cfg)
         assert table.rows[0].trials == 2
+
+    def test_fixed_z_outputs_are_pinned(self, tmp_path):
+        # sha256 of results.csv (runtime masked) and trial_scatter.csv: a
+        # reordered or reseeded fixed-Z or outcome draw changes them
+        cfg = tiny_cfg(redraw_z=False)
+        run_experiment(cfg, out_dir=tmp_path)
+        masked = "".join(",".join(row) + "\n" for row in masked_results(tmp_path / "results.csv"))
+        scatter = (tmp_path / "trial_scatter.csv").read_bytes()
+        assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == (
+            "11fdcbae2ae5c7e810d4425d334ff477a077adcf84d48369d91e4571bf2189c4"
+        )
+        assert hashlib.sha256(scatter).hexdigest() == (
+            "f4920d8fa9e2c13762f2617bcc24174ba31ad42182af4505a3f282fa7c4da4b4"
+        )
 
     def test_split_estimator_rmse_strictly_decreases_with_n(self):
         # more training data, same evaluation sample: the split estimator's
