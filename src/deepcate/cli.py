@@ -20,7 +20,6 @@ and can be fed back via --config.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import operator
@@ -48,6 +47,7 @@ from .metrics import (
     _NotUtf8,
     _read_utf8,
     read_results_csv,
+    read_table,
     write_csv,
     write_results_csv,
 )
@@ -189,21 +189,11 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
     treatment column must produce both classes. Row order is preserved.
     """
     try:
-        text = _read_utf8(path)
+        header, rows = read_table(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except _NotUtf8 as exc:
-        raise DataError(f"{path}: line {exc.line}: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    rows = []  # (line the row starts on, cells): a quoted cell may span lines
-    start = reader.line_num + 1
-    for row in reader:
-        rows.append((start, row))
-        start = reader.line_num + 1
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
     header = [h.strip() for h in header]
     dupes = {h for h in header if header.count(h) > 1}
@@ -217,8 +207,6 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
 
     missing_lines = []
     for line_no, row in rows:
-        if len(row) != len(header):
-            raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
         for name in needed:
             if row[col[name]].strip() in ("", "NA", "NaN", "nan"):
                 missing_lines.append(line_no)
@@ -305,6 +293,8 @@ class AnalyzeConfig(TrainSettings):
             methods = canonical_methods(self.methods, ANALYZE_METHODS)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         object.__setattr__(self, "methods", methods)
 
 
@@ -435,13 +425,23 @@ def results_markdown(table: ResultsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(table: ResultsTable, out_dir, formats=("csv", "markdown")) -> list[Path]:
+REPORT_FORMATS = ("csv", "markdown")
+
+
+def check_report_formats(formats) -> None:
+    """ConfigError unless formats names at least one format, all known."""
+    unknown = set(formats) - set(REPORT_FORMATS)
+    if unknown:
+        raise ConfigError(f"unknown report formats: {sorted(unknown)} (supported: {REPORT_FORMATS})")
+    if not formats:
+        raise ConfigError(f"need at least one report format (supported: {REPORT_FORMATS})")
+
+
+def emit_report(table: ResultsTable, out_dir, formats=REPORT_FORMATS) -> list[Path]:
     """Write the results table once per requested format; returns paths."""
     if not table.rows:
         raise ValueError("empty results table")
-    unknown = set(formats) - {"csv", "markdown"}
-    if unknown:
-        raise ConfigError(f"unknown report formats: {sorted(unknown)}")
+    check_report_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -467,11 +467,12 @@ class RunConfig:
     experiment: ExperimentConfig | None = None
     analyze: AnalyzeConfig | None = None
     results_path: str | None = None
-    report_formats: tuple[str, ...] = ("csv", "markdown")
+    report_formats: tuple[str, ...] = REPORT_FORMATS
 
     def __post_init__(self):
         if self.mode not in ("simulate", "analyze", "report"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        check_report_formats(self.report_formats)
         wanted = {
             "simulate": self.experiment is not None,
             "analyze": self.analyze is not None,

@@ -143,24 +143,34 @@ def true_pi(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 0.70 * norm_cdf(alpha / s - 3.5) + u / 10.0 + 0.10
 
 
+def draw_z(rng: np.random.Generator, pi: np.ndarray) -> np.ndarray:
+    """Treatment draw from rng: Z_i = 1 with probability pi_i (float64 0/1)."""
+    return (rng.random(pi.shape) < pi).astype(np.float64)
+
+
+def draw_y(rng: np.random.Generator, alpha, beta, Z, kappa: float) -> tuple[np.ndarray, float]:
+    """(Y, sigma): Y = alpha + beta * Z + sigma * eps, eps ~ N(0, 1) from
+    rng, sigma = sd(alpha) * kappa (ddof=1)."""
+    sigma = float(alpha.std(ddof=1) * kappa)
+    eps = rng.standard_normal(alpha.shape)
+    return alpha + beta * Z + sigma * eps, sigma
+
+
 def draw_outcome(
     X: np.ndarray, u: np.ndarray, regime: str, kappa: float, seed
 ) -> DgpSample:
     """Draw treatment and outcome on a fixed (X, u) design.
 
-    Z and the noise eps come from seed; alpha, beta, and pi are
-    deterministic functions of the design. sigma is sd(alpha) * kappa.
+    Z, then the noise eps, come from one generator seeded by seed; alpha,
+    beta, and pi are deterministic functions of the design.
     """
     X = _check_design(X)
     alpha = true_alpha(X)
     beta = true_beta(X, regime)
     pi = true_pi(alpha, u)
     rng = np.random.default_rng(seed)
-    n = X.shape[0]
-    Z = (rng.random(n) < pi).astype(np.float64)
-    sigma = float(alpha.std(ddof=1) * kappa)
-    eps = rng.standard_normal(n)
-    Y = alpha + beta * Z + sigma * eps
+    Z = draw_z(rng, pi)
+    Y, sigma = draw_y(rng, alpha, beta, Z, kappa)
     return DgpSample(X, np.asarray(u, dtype=np.float64), Z, Y, alpha, beta, pi, sigma)
 
 

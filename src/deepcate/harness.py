@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise ValueError(f"regime must be one of {dgp.REGIMES}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("seed must be >= 0")
         object.__setattr__(self, "methods", canonical_methods(self.methods, METHODS))
 
 
@@ -166,30 +168,9 @@ class EvalSample:
     beta_true: np.ndarray
 
 
-@dataclass(frozen=True)
-class Truth:
-    """Outcome-surface triple; swap in alternatives to test the driver
-    against known ground truth (e.g. an exactly linear surface)."""
-
-    alpha: object  # X -> vector
-    beta: object  # X -> vector
-    pi: object  # (alpha, u) -> vector
-
-
-def regime_truth(regime: str) -> Truth:
-    if regime not in dgp.REGIMES:
-        raise ValueError(f"regime must be one of {dgp.REGIMES}")
-    return Truth(
-        alpha=dgp.true_alpha,
-        beta=lambda X, _r=regime: dgp.true_beta(X, _r),
-        pi=dgp.true_pi,
-    )
-
-
-def make_eval_sample(n: int, regime: str, seed, truth: Truth | None = None) -> EvalSample:
-    truth = truth if truth is not None else regime_truth(regime)
+def make_eval_sample(n: int, regime: str, seed) -> EvalSample:
     X, _u = dgp.gen_covariates(n, seed)
-    return EvalSample(X=X, alpha_true=truth.alpha(X), beta_true=truth.beta(X))
+    return EvalSample(X=X, alpha_true=dgp.true_alpha(X), beta_true=dgp.true_beta(X, regime))
 
 
 class TrialFailedError(RuntimeError):
@@ -234,7 +215,6 @@ def run_trial(
     kappa: float,
     test_sample: EvalSample,
     settings: TrainSettings | None = None,
-    truth: Truth | None = None,
     fixed_z: np.ndarray | None = None,
 ) -> TrialMetrics:
     """Draw one trial's outcome on the fixed design, fit, and score.
@@ -244,35 +224,32 @@ def run_trial(
     dropout, and shuffling. Runtime covers the fit only (for bcf that
     includes its propensity stage, seeded apart from its outcome fit).
     For bcf and naive, a treatment draw of a single class raises
-    TrialFailedError, as neither can be fitted on it.
+    TrialFailedError, as neither can be fitted on it. The draws are
+    dgp's, each from its own generator; the true surfaces are looked up
+    in dgp at each call.
     """
     settings = settings or TrainSettings()
-    truth = truth if truth is not None else regime_truth(regime)
     z_seed, eps_seed, fit_seed = (
         derive_seed(trial_seed, 1),
         derive_seed(trial_seed, 2),
         derive_seed(trial_seed, 3),
     )
-    alpha = truth.alpha(X_train)
-    beta = truth.beta(X_train)
-    n = X_train.shape[0]
+    alpha = dgp.true_alpha(X_train)
+    beta = dgp.true_beta(X_train, regime)
     if fixed_z is not None:
         Z = np.asarray(fixed_z, dtype=np.float64)
     else:
-        pi = truth.pi(alpha, u_train)
-        Z = (np.random.default_rng(z_seed).random(n) < pi).astype(np.float64)
+        Z = dgp.draw_z(np.random.default_rng(z_seed), dgp.true_pi(alpha, u_train))
     if method in ("bcf", "naive") and Z.min() == Z.max():
         # the propensity net and the per-arm nets need both arms
         raise TrialFailedError(f"{method}: single-class treatment draw (all {int(Z[0])})")
-    sigma = float(np.asarray(alpha).std(ddof=1) * kappa)
-    eps = np.random.default_rng(eps_seed).standard_normal(n)
-    Y = alpha + beta * Z + sigma * eps
+    Y, _sigma = dgp.draw_y(np.random.default_rng(eps_seed), alpha, beta, Z, kappa)
     t0 = time.perf_counter()
     pi_hat = None
     if method == "bcf":
         pi_hat = propensity_hat(X_train, Z, settings, derive_seed(fit_seed, 1))
         fit_seed = derive_seed(fit_seed, 2)
-    cfg = train_config(settings, n, fit_seed)
+    cfg = train_config(settings, X_train.shape[0], fit_seed)
     model = fit_method(method, X_train, Z, Y, cfg, pi_hat)
     runtime = time.perf_counter() - t0
     beta_hat = predict_cate(model, test_sample.X)
@@ -298,9 +275,8 @@ def _make_design(cfg: ExperimentConfig, n: int) -> _Design:
     )
     fixed_z = None
     if not cfg.redraw_z:
-        pi = dgp.true_pi(dgp.true_alpha(X), u)
         z_rng = np.random.default_rng(derive_seed(cfg.base_seed, n, _Z_STREAM))
-        fixed_z = (z_rng.random(n) < pi).astype(np.float64)
+        fixed_z = dgp.draw_z(z_rng, dgp.true_pi(dgp.true_alpha(X), u))
     return _Design(X, u, test_sample, fixed_z)
 
 

@@ -2,8 +2,9 @@
 effect, and the per-trial / aggregated metrics reported by the benchmark.
 
 It also owns the on-disk table format (UTF-8, LF line ends, floats as
-repr, None as an empty cell): every CSV the package writes or reads back
-goes through write_csv and read_csv.
+repr, None as an empty cell): every CSV the package writes goes through
+write_csv, and every CSV it reads through read_table (read_csv checks
+the header as well).
 """
 
 from __future__ import annotations
@@ -197,31 +198,39 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(table)
 
 
-def read_csv(path, header) -> list[list[str]]:
-    """The data rows of a table written by write_csv, as strings.
+def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the data rows of a CSV file, each row as (the line
+    it starts on, its cells): a quoted cell may span lines.
 
     A leading byte-order mark is skipped. Raises ValueError, naming the
-    line, for a byte that is not UTF-8, an empty file, a header other
-    than `header`, or a row whose length differs from the header's.
+    line, for a byte that is not UTF-8, an empty file, or a row whose
+    length differs from the header's.
     """
     try:
         text = _read_utf8(path)
     except _NotUtf8 as exc:
         raise ValueError(f"line {exc.line}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    found = next(reader, None)
-    if found is None:
+    header = next(reader, None)
+    if header is None:
         raise ValueError("line 1: empty file, expected a header")
-    if tuple(found) != tuple(header):
-        raise ValueError(f"line 1: unexpected columns {found}")
     rows = []
-    start = reader.line_num + 1  # a quoted cell may span lines
+    start = reader.line_num + 1
     for row in reader:
         if len(row) != len(header):
             raise ValueError(f"line {start}: expected {len(header)} cells, got {len(row)}")
-        rows.append(row)
+        rows.append((start, row))
         start = reader.line_num + 1
-    return rows
+    return header, rows
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The data rows of a table written by write_csv, as strings; raises
+    ValueError as read_table does, or for a header other than `header`."""
+    found, rows = read_table(path)
+    if tuple(found) != tuple(header):
+        raise ValueError(f"line 1: unexpected columns {found}")
+    return [row for _line, row in rows]
 
 
 RESULTS_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))

@@ -130,7 +130,7 @@ def _as_outcome_data(X, Z, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X, Z, Y
 
 
-def fit_propensity(X, Z, cfg: TrainConfig, hidden=PROPENSITY_HIDDEN) -> PropensityModel:
+def fit_propensity(X, Z, cfg: TrainConfig) -> PropensityModel:
     """BCE-train a sigmoid-output network for P(Z=1 | x).
 
     Requires both classes present. Init and shuffling both derive from
@@ -143,7 +143,7 @@ def fit_propensity(X, Z, cfg: TrainConfig, hidden=PROPENSITY_HIDDEN) -> Propensi
     if Z.min() == Z.max():
         raise ValueError("treatment indicator is single-class")
     init_seed, loop_seed = _spawn_seeds(cfg.shuffle_seed, 2)
-    net = init_network(_mlp_specs(X.shape[1], hidden, 1, "sigmoid"), init_seed)
+    net = init_network(_mlp_specs(X.shape[1], PROPENSITY_HIDDEN, 1, "sigmoid"), init_seed)
     cfg = dataclasses.replace(cfg, loss="bce", shuffle_seed=loop_seed)
     net, _ = train(net, X, Z.reshape(-1, 1), cfg)
     return PropensityModel(net)

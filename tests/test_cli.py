@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepcate import cli
-from deepcate.metrics import RESULTS_CSV_COLUMNS, ResultRow, ResultsTable
+from deepcate.metrics import RESULTS_CSV_COLUMNS, ResultRow, ResultsTable, write_results_csv
 
 FIXTURE = Path(__file__).parent / "data" / "sleep_synthetic.csv"
 SCHEMA = Path(__file__).parent.parent / "configs" / "sleep_schema.json"
@@ -551,6 +551,31 @@ class TestBadSettingsExitBeforeAnyFit:
         ],
     )
     def test_exit_2_and_nothing_written(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (SMALL_SIMULATE + ["--seed", "-1"], "seed must be >= 0"),
+            (SMALL_ANALYZE + ["--seed", "-3"], "seed must be >= 0"),
+            (["--format", "pdf"], "unknown report formats: ['pdf']"),
+            (["--format", ""], "need at least one report format"),
+            (["--format", "csv,,html"], "unknown report formats: ['html']"),
+        ],
+        ids=["simulate_seed", "analyze_seed", "format_pdf", "format_empty", "format_html"],
+    )
+    def test_seed_and_report_format_exit_2_and_nothing_written(
+        self, argv, message, tmp_path, capsys
+    ):
+        # a valid results file, so a report that got past its settings
+        # would write its effective config and tables
+        if argv[0] == "--format":
+            results = tmp_path / "results.csv"
+            write_results_csv(table_rows(), results)
+            argv = ["report", "--results", str(results)] + argv
         out = tmp_path / "out"
         assert cli.main(argv + ["--out-dir", str(out)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err

@@ -14,7 +14,6 @@ from deepcate import dgp, harness
 from deepcate.harness import (
     ExperimentConfig,
     TrainSettings,
-    Truth,
     derive_seed,
     fit_moderator_tree,
     make_eval_sample,
@@ -24,14 +23,13 @@ from deepcate.harness import (
 )
 
 
-def linear_truth():
+def linear_truth(monkeypatch):
+    """Swap dgp's true surfaces for exactly linear ones, with pi = 1/2."""
     a = np.array([0.4, -0.2, 0.1, 0.3, 0.0])
     b = np.array([0.5, 0.0, -0.25, 0.1, 0.2])
-    return Truth(
-        alpha=lambda X: 1.0 + X @ a,
-        beta=lambda X: 0.3 + X @ b,
-        pi=lambda alpha, u: np.full(alpha.shape, 0.5),
-    )
+    monkeypatch.setattr(dgp, "true_alpha", lambda X: 1.0 + X @ a)
+    monkeypatch.setattr(dgp, "true_beta", lambda X, regime: 0.3 + X @ b)
+    monkeypatch.setattr(dgp, "true_pi", lambda alpha, u: np.full(alpha.shape, 0.5))
 
 
 def tiny_cfg(**overrides):
@@ -75,13 +73,11 @@ class TestRunTrial:
         assert a.rmse == b.rmse
         assert a.correlation == b.correlation
 
-    def test_ols_exact_on_noise_free_linear_truth(self):
-        truth = linear_truth()
+    def test_ols_exact_on_noise_free_linear_truth(self, monkeypatch):
+        linear_truth(monkeypatch)
         X, u = dgp.gen_covariates(400, seed=3)
-        test = make_eval_sample(1000, "small", seed=4, truth=truth)
-        m = run_trial(
-            X, u, 5, "ols", "small", kappa=1e-12, test_sample=test, truth=truth
-        )
+        test = make_eval_sample(1000, "small", seed=4)
+        m = run_trial(X, u, 5, "ols", "small", kappa=1e-12, test_sample=test)
         assert m.rmse < 1e-6
 
     def test_different_methods_get_different_draws(self):

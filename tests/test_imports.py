@@ -35,3 +35,41 @@ def test_csv_writer_only_in_metrics():
             ):
                 callers.append(path.name)
     assert callers == ["metrics.py"]
+
+
+def calls_of(module: str, attr: str) -> list[str]:
+    """The package files that call module.attr, once per call."""
+    callers = []
+    for path in sorted(Path(deepcate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == module
+            ):
+                callers.append(path.name)
+    return callers
+
+
+def test_csv_reader_only_in_metrics():
+    # every table is parsed by metrics.read_table
+    assert calls_of("csv", "reader") == ["metrics.py"]
+
+
+GENERATOR_DRAWS = {"random", "standard_normal", "normal", "binomial", "integers", "permutation"}
+
+
+def test_harness_draws_nothing_from_a_generator():
+    # the generating process lives in dgp: the harness builds and seeds
+    # generators, and dgp's draw functions draw from them
+    path = Path(deepcate.__file__).parent / "harness.py"
+    draws = [
+        node.func.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in GENERATOR_DRAWS
+    ]
+    assert draws == []

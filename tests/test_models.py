@@ -74,7 +74,7 @@ class TestFitPropensity:
         X = np.concatenate([rng.normal(-4, 0.3, 100), rng.normal(4, 0.3, 100)]).reshape(-1, 1)
         Z = np.array([0.0] * 100 + [1.0] * 100)
         cfg = nn.TrainConfig(epochs=100, batch_size=32, loss="bce", lr=0.02, shuffle_seed=6)
-        model = models.fit_propensity(X, Z, cfg, hidden=(16, 8))
+        model = models.fit_propensity(X, Z, cfg)
         p = models.predict_propensity(model, X)
         assert np.all(p > 0.0) and np.all(p < 1.0)
         assert p[:100].mean() < 0.2 and p[100:].mean() > 0.8
