@@ -20,9 +20,11 @@ from .harness import (
     run_trial,
 )
 from .metrics import (
+    EvalTruth,
     ResultsTable,
     TrialMetrics,
     aggregate_results,
+    eval_truth,
     ipw_ate,
     pearson_corr,
     trial_metrics,

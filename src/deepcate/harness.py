@@ -1,7 +1,9 @@
 """Monte Carlo experiment driver and the moderator-summary tree.
 
 Trial structure: for each training size n, one covariate design (X, u) and
-one evaluation sample are drawn once and shared by every trial; each trial
+one evaluation sample are drawn once and shared by every trial. The
+design's true surfaces (alpha, beta, pi) and the evaluation sample's truth
+moments (metrics.EvalTruth) are computed once per size as well. Each trial
 then redraws the outcome noise (and, by default, the treatment vector),
 fits one method, and scores its CATE predictions on the fixed evaluation
 sample.
@@ -41,9 +43,11 @@ import numpy as np
 
 from . import dgp
 from .metrics import (
+    EvalTruth,
     ResultsTable,
     TrialMetrics,
     aggregate_results,
+    eval_truth,
     trial_metrics,
     write_csv,
     write_results_csv,
@@ -69,7 +73,14 @@ _Z_STREAM = 13
 
 
 def derive_seed(*fields: int) -> int:
-    """Collapse integer fields into one stable 64-bit seed."""
+    """Collapse integer fields into one stable 64-bit seed.
+
+    SeedSequence zero-pads short entropy to its 4-word pool, so trailing
+    zeros are invisible up to four fields: derive_seed(b, n, s) equals
+    derive_seed(b, n, s, 0), and hence trial_seed(b, n, m, 0) whenever s
+    is METHOD_CODES[m]. Stream numbers must therefore stay apart from the
+    method codes.
+    """
     return int(np.random.SeedSequence(list(fields)).generate_state(1, np.uint64)[0])
 
 
@@ -160,17 +171,32 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EvalSample:
-    """Fixed evaluation rows: covariates plus the true surfaces only (its
-    treatment assignment would be irrelevant for CATE metrics)."""
+    """Fixed evaluation rows: covariates plus the true surfaces and their
+    moments only (its treatment assignment would be irrelevant for CATE
+    metrics)."""
 
     X: np.ndarray
-    alpha_true: np.ndarray
-    beta_true: np.ndarray
+    truth: EvalTruth
 
 
 def make_eval_sample(n: int, regime: str, seed) -> EvalSample:
     X, _u = dgp.gen_covariates(n, seed)
-    return EvalSample(X=X, alpha_true=dgp.true_alpha(X), beta_true=dgp.true_beta(X, regime))
+    return EvalSample(X=X, truth=eval_truth(dgp.true_beta(X, regime), dgp.true_alpha(X)))
+
+
+@dataclass(frozen=True)
+class Surfaces:
+    """The true alpha, beta and pi of one training design (X, u)."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    pi: np.ndarray
+
+
+def design_surfaces(X: np.ndarray, u: np.ndarray, regime: str) -> Surfaces:
+    """dgp's true surfaces of the design, looked up in dgp at each call."""
+    alpha = dgp.true_alpha(X)
+    return Surfaces(alpha, dgp.true_beta(X, regime), dgp.true_pi(alpha, u))
 
 
 class TrialFailedError(RuntimeError):
@@ -216,6 +242,8 @@ def run_trial(
     test_sample: EvalSample,
     settings: TrainSettings | None = None,
     fixed_z: np.ndarray | None = None,
+    *,
+    surfaces: Surfaces | None = None,
 ) -> TrialMetrics:
     """Draw one trial's outcome on the fixed design, fit, and score.
 
@@ -225,8 +253,8 @@ def run_trial(
     includes its propensity stage, seeded apart from its outcome fit).
     For bcf and naive, a treatment draw of a single class raises
     TrialFailedError, as neither can be fitted on it. The draws are
-    dgp's, each from its own generator; the true surfaces are looked up
-    in dgp at each call.
+    dgp's, each from its own generator. surfaces holds the design's true
+    surfaces; without it they are computed here (design_surfaces).
     """
     settings = settings or TrainSettings()
     z_seed, eps_seed, fit_seed = (
@@ -234,16 +262,18 @@ def run_trial(
         derive_seed(trial_seed, 2),
         derive_seed(trial_seed, 3),
     )
-    alpha = dgp.true_alpha(X_train)
-    beta = dgp.true_beta(X_train, regime)
+    if surfaces is None:
+        surfaces = design_surfaces(X_train, u_train, regime)
     if fixed_z is not None:
         Z = np.asarray(fixed_z, dtype=np.float64)
     else:
-        Z = dgp.draw_z(np.random.default_rng(z_seed), dgp.true_pi(alpha, u_train))
+        Z = dgp.draw_z(np.random.default_rng(z_seed), surfaces.pi)
     if method in ("bcf", "naive") and Z.min() == Z.max():
         # the propensity net and the per-arm nets need both arms
         raise TrialFailedError(f"{method}: single-class treatment draw (all {int(Z[0])})")
-    Y, _sigma = dgp.draw_y(np.random.default_rng(eps_seed), alpha, beta, Z, kappa)
+    Y, _sigma = dgp.draw_y(
+        np.random.default_rng(eps_seed), surfaces.alpha, surfaces.beta, Z, kappa
+    )
     t0 = time.perf_counter()
     pi_hat = None
     if method == "bcf":
@@ -255,7 +285,7 @@ def run_trial(
     beta_hat = predict_cate(model, test_sample.X)
     if not np.isfinite(beta_hat).all():
         raise TrialFailedError(f"{method}: non-finite CATE predictions")
-    return trial_metrics(beta_hat, test_sample.beta_true, test_sample.alpha_true, runtime)
+    return trial_metrics(beta_hat, test_sample.truth, runtime)
 
 
 @dataclass(frozen=True)
@@ -264,20 +294,22 @@ class _Design:
 
     X: np.ndarray
     u: np.ndarray
+    surfaces: Surfaces
     test_sample: EvalSample
     fixed_z: np.ndarray | None
 
 
 def _make_design(cfg: ExperimentConfig, n: int) -> _Design:
     X, u = dgp.gen_covariates(n, derive_seed(cfg.base_seed, n, _DESIGN_STREAM))
+    surfaces = design_surfaces(X, u, cfg.regime)
     test_sample = make_eval_sample(
         cfg.test_size, cfg.regime, derive_seed(cfg.base_seed, n, _EVAL_STREAM)
     )
     fixed_z = None
     if not cfg.redraw_z:
         z_rng = np.random.default_rng(derive_seed(cfg.base_seed, n, _Z_STREAM))
-        fixed_z = dgp.draw_z(z_rng, dgp.true_pi(dgp.true_alpha(X), u))
-    return _Design(X, u, test_sample, fixed_z)
+        fixed_z = dgp.draw_z(z_rng, surfaces.pi)
+    return _Design(X, u, surfaces, test_sample, fixed_z)
 
 
 def _run_task(cfg: ExperimentConfig, designs: dict[int, _Design], task) -> tuple:
@@ -288,7 +320,7 @@ def _run_task(cfg: ExperimentConfig, designs: dict[int, _Design], task) -> tuple
     try:
         m = run_trial(
             d.X, d.u, seed, method, cfg.regime, cfg.kappa, d.test_sample,
-            settings=cfg.train, fixed_z=d.fixed_z,
+            settings=cfg.train, fixed_z=d.fixed_z, surfaces=d.surfaces,
         )
         return m, None
     except (RuntimeError, FloatingPointError) as exc:

@@ -46,11 +46,19 @@ def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two aligned vectors of length >= 2")
-    ac = a - a.mean()
     bc = b - b.mean()
-    denom = np.sqrt((ac * ac).sum() * (bc * bc).sum())
-    if denom == 0.0:
+    corr = _centred_corr(a - a.mean(), bc, (bc * bc).sum())
+    if corr is None:
         raise ValueError("zero-variance input")
+    return corr
+
+
+def _centred_corr(ac: np.ndarray, bc: np.ndarray, bc_ss) -> float | None:
+    """Pearson correlation of two centred vectors, given bc's sum of
+    squares; None when either vector is constant."""
+    denom = np.sqrt((ac * ac).sum() * bc_ss)
+    if denom == 0.0:
+        return None
     return float((ac * bc).sum() / denom)
 
 
@@ -58,7 +66,8 @@ def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:
 class TrialMetrics:
     """One trial's evaluation of an estimated CATE against the truth.
 
-    correlation is None when the estimate is constant (undefined Pearson).
+    correlation is None when the estimate or the truth is constant
+    (undefined Pearson).
     """
 
     mean_beta_hat: float
@@ -70,27 +79,57 @@ class TrialMetrics:
     abs_bias: float
 
 
-def trial_metrics(
-    beta_hat: np.ndarray,
-    beta_true: np.ndarray,
-    alpha_true: np.ndarray,
-    runtime: float,
-) -> TrialMetrics:
-    """Evaluate an estimated CATE vector against the known truth."""
-    beta_hat = np.asarray(beta_hat, dtype=np.float64)
+@dataclass(frozen=True)
+class EvalTruth:
+    """The true surfaces of one evaluation sample, with the moments every
+    trial scored on it needs: the true ATE, the mean of alpha, and the
+    centred beta_true with its sum of squares (for the correlation).
+    Build it with eval_truth, once per sample."""
+
+    beta_true: np.ndarray
+    alpha_true: np.ndarray
+    true_ate: float
+    true_mean_alpha: float
+    beta_centred: np.ndarray
+    beta_ss: np.float64
+
+
+def eval_truth(beta_true: np.ndarray, alpha_true: np.ndarray) -> EvalTruth:
+    """The EvalTruth of aligned true effect and prognostic surfaces."""
     beta_true = np.asarray(beta_true, dtype=np.float64)
     alpha_true = np.asarray(alpha_true, dtype=np.float64)
-    if not (beta_hat.shape == beta_true.shape == alpha_true.shape):
+    if beta_true.shape != alpha_true.shape:
         raise ValueError("metric inputs must be aligned")
-    err = beta_hat - beta_true
-    try:
-        corr = pearson_corr(beta_hat, beta_true)
-    except ValueError:
-        corr = None
-    return TrialMetrics(
-        mean_beta_hat=float(beta_hat.mean()),
-        true_ate=float(beta_true.mean()),
+    ate = beta_true.mean()
+    bc = beta_true - ate
+    return EvalTruth(
+        beta_true=beta_true,
+        alpha_true=alpha_true,
+        true_ate=float(ate),
         true_mean_alpha=float(alpha_true.mean()),
+        beta_centred=bc,
+        beta_ss=(bc * bc).sum(),
+    )
+
+
+def trial_metrics(beta_hat: np.ndarray, truth: EvalTruth, runtime: float) -> TrialMetrics:
+    """Evaluate an estimated CATE vector against the known truth.
+
+    The correlation is pearson_corr(beta_hat, truth.beta_true), in the
+    same operations, with beta_true's half read from the record.
+    """
+    beta_hat = np.asarray(beta_hat, dtype=np.float64)
+    if beta_hat.shape != truth.beta_true.shape:
+        raise ValueError("metric inputs must be aligned")
+    err = beta_hat - truth.beta_true
+    mean_hat = beta_hat.mean()
+    corr = None
+    if beta_hat.ndim == 1 and beta_hat.size >= 2:
+        corr = _centred_corr(beta_hat - mean_hat, truth.beta_centred, truth.beta_ss)
+    return TrialMetrics(
+        mean_beta_hat=float(mean_hat),
+        true_ate=truth.true_ate,
+        true_mean_alpha=truth.true_mean_alpha,
         runtime_seconds=float(runtime),
         correlation=corr,
         rmse=float(np.sqrt(np.mean(err**2))),

@@ -61,6 +61,62 @@ class TestSeeds:
         }
         assert len(seeds) == 4 * 50
 
+    def test_design_streams_are_not_method_codes(self):
+        # SeedSequence zero-pads its entropy, so (base, n, stream) is
+        # (base, n, code, 0): a stream equal to a method code would reuse
+        # that method's trial-0 seed
+        streams = {harness._DESIGN_STREAM, harness._EVAL_STREAM, harness._Z_STREAM}
+        assert len(streams) == 3
+        assert streams.isdisjoint(harness.METHOD_CODES.values())
+        code = harness.METHOD_CODES["ols"]
+        assert derive_seed(7, 60, code) == trial_seed(7, 60, "ols", 0)
+
+
+class TestPerDesignInvariants:
+    @pytest.mark.parametrize("redraw_z", [True, False])
+    def test_true_surfaces_computed_once_per_design(self, monkeypatch, redraw_z):
+        calls = []
+
+        def counting(name):
+            real = getattr(dgp, name)
+
+            def wrapper(first, *args):
+                calls.append((name, len(first)))
+                return real(first, *args)
+
+            monkeypatch.setattr(dgp, name, wrapper)
+
+        for name in ("true_alpha", "true_beta", "true_pi"):
+            counting(name)
+        cfg = tiny_cfg(sample_sizes=(40, 60), n_trials=3, redraw_z=redraw_z, test_size=50)
+        run_experiment(cfg)
+        # each size's training design once, and its 50-row eval sample's
+        # alpha and beta once; no trial evaluates a surface
+        expected = [
+            call
+            for n in (40, 60)
+            for call in (("true_alpha", n), ("true_beta", n), ("true_pi", n),
+                         ("true_alpha", 50), ("true_beta", 50))
+        ]
+        assert sorted(calls) == sorted(expected)
+
+    @pytest.mark.parametrize("redraw_z", [True, False])
+    @pytest.mark.parametrize("method", ["ols", "naive"])
+    def test_cached_surfaces_give_the_direct_metrics(self, redraw_z, method):
+        cfg = tiny_cfg(redraw_z=redraw_z, train=TrainSettings(epochs=2, batch_size=16))
+        design = harness._make_design(cfg, 60)
+        seed = trial_seed(cfg.base_seed, 60, method, 0)
+        cached, err = harness._run_task(cfg, {60: design}, (60, method, 0, seed))
+        assert err is None
+        X, u = dgp.gen_covariates(60, derive_seed(cfg.base_seed, 60, harness._DESIGN_STREAM))
+        direct = run_trial(
+            X, u, seed, method, cfg.regime, cfg.kappa, design.test_sample,
+            settings=cfg.train, fixed_z=design.fixed_z,
+        )
+        assert dataclasses.replace(cached, runtime_seconds=0.0) == dataclasses.replace(
+            direct, runtime_seconds=0.0
+        )
+
 
 class TestRunTrial:
     def test_deterministic_given_seed(self):

@@ -95,7 +95,7 @@ class TestTrialMetrics:
     def test_exact_estimate(self, rng):
         beta = rng.normal(size=30)
         alpha = rng.normal(size=30)
-        m = metrics.trial_metrics(beta, beta.copy(), alpha, runtime=1.5)
+        m = metrics.trial_metrics(beta, metrics.eval_truth(beta.copy(), alpha), runtime=1.5)
         assert m.rmse == 0.0
         assert m.abs_bias == 0.0
         assert m.correlation == pytest.approx(1.0)
@@ -105,21 +105,28 @@ class TestTrialMetrics:
 
     def test_constant_shift(self, rng):
         beta = rng.normal(size=30)
-        m = metrics.trial_metrics(beta + 0.1, beta, beta, runtime=0.0)
+        m = metrics.trial_metrics(beta + 0.1, metrics.eval_truth(beta, beta), runtime=0.0)
         assert m.rmse == pytest.approx(0.1)
         assert m.abs_bias == pytest.approx(0.1)
         assert m.correlation == pytest.approx(1.0)
 
     def test_constant_estimate_marks_correlation_undefined(self, rng):
         beta = rng.normal(size=30)
-        m = metrics.trial_metrics(np.full(30, 2.0), beta, beta, runtime=0.0)
+        m = metrics.trial_metrics(np.full(30, 2.0), metrics.eval_truth(beta, beta), runtime=0.0)
         assert m.correlation is None
         assert np.isfinite(m.rmse)
+
+    def test_constant_truth_marks_correlation_undefined(self, rng):
+        truth = metrics.eval_truth(np.full(30, 2.0), rng.normal(size=30))
+        assert truth.beta_ss == 0.0
+        m = metrics.trial_metrics(rng.normal(size=30), truth, runtime=0.0)
+        assert m.correlation is None
+        assert m.true_ate == 2.0
 
     @given(a=finite_vectors, b=finite_vectors)
     def test_rmse_dominates_bias(self, a, b):
         n = min(a.size, b.size)
-        m = metrics.trial_metrics(a[:n], b[:n], b[:n], runtime=0.0)
+        m = metrics.trial_metrics(a[:n], metrics.eval_truth(b[:n], b[:n]), runtime=0.0)
         assert m.rmse >= m.abs_bias - 1e-12
 
     @given(data=st.data())
@@ -131,8 +138,8 @@ class TestTrialMetrics:
         c = data.draw(arrays(np.float64, n, elements=elements))
         perm = data.draw(st.permutations(range(n)))
         perm = np.asarray(perm)
-        m1 = metrics.trial_metrics(a, b, c, runtime=0.0)
-        m2 = metrics.trial_metrics(a[perm], b[perm], c[perm], runtime=0.0)
+        m1 = metrics.trial_metrics(a, metrics.eval_truth(b, c), runtime=0.0)
+        m2 = metrics.trial_metrics(a[perm], metrics.eval_truth(b[perm], c[perm]), runtime=0.0)
         assert m1.rmse == pytest.approx(m2.rmse, rel=1e-9, abs=1e-12)
         assert m1.abs_bias == pytest.approx(m2.abs_bias, rel=1e-9, abs=1e-12)
         assert m1.mean_beta_hat == pytest.approx(m2.mean_beta_hat, rel=1e-9, abs=1e-12)
