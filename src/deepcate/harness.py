@@ -18,23 +18,29 @@ numpy.random.SeedSequence(entropy) over integer tuples,
 
 with method codes shared=1, bcf=2, naive=3, ols=4.
 
-Process pool (parallelism > 1): each worker receives every size's design,
-eval sample and fixed Z once, through the pool initializer, which also caps
-the worker's OpenBLAS threads at max(1, usable cores // workers). A task is
-then only (n, method, trial_index, seed). Tasks are dispatched longest
-first (bcf, then shared and naive, one trial per submission; ols last, in
-chunks), and outcomes are put back in grid order before aggregation, so
-the outputs do not depend on the worker count.
+Processes and threads: every process of a sweep runs OpenBLAS on one
+thread (its matrices are at most 10k x 100, too small to split); the
+parent's previous thread count is restored when the sweep ends. A sweep
+with no network trial (every method ols) runs in the parent, whatever
+its parallelism, as an ols trial costs less than its dispatch.
+
+Process pool (parallelism > 1 and a network method): at most one worker
+per submission. Each worker receives every size's design, eval sample and
+fixed Z once, through the pool initializer. A task is then only (n,
+method, trial_index, seed). Tasks are dispatched longest first (bcf, then
+shared and naive, one trial per submission; ols last, in chunks), and
+outcomes are put back in grid order before aggregation, so the outputs do
+not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import ctypes
 import json
 import logging
 import math
-import os
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
@@ -373,20 +379,30 @@ def openblas_threads() -> list[int]:
     return [get() for _set, get in _openblas_thread_funcs()]
 
 
-def _worker_blas_threads(workers: int) -> int:
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, (cores or 1) // workers)
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then put
+    back each library's previous count, also when the block raises."""
+    funcs = _openblas_thread_funcs()
+    before = [get() for _set, get in funcs]
+    for set_threads, _get in funcs:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _get), threads in zip(funcs, before):
+            set_threads(threads)
 
 
 # set in each pool worker by _init_worker: (cfg, designs by n)
 _worker_sweep: tuple | None = None
 
 
-def _init_worker(cfg: ExperimentConfig, designs: dict[int, _Design], blas_threads: int) -> None:
+def _init_worker(cfg: ExperimentConfig, designs: dict[int, _Design]) -> None:
     global _worker_sweep
     _worker_sweep = (cfg, designs)
     for set_threads, _get in _openblas_thread_funcs():
-        set_threads(blas_threads)
+        set_threads(1)
 
 
 def _run_tasks(tasks: list) -> list[tuple]:
@@ -409,14 +425,15 @@ def _dispatch_chunks(tasks: list, workers: int) -> list[list[int]]:
 
 
 def _run_pooled(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list) -> list[tuple]:
-    """Every task's outcome, in task order, from cfg.parallelism workers."""
-    workers = cfg.parallelism
-    chunks = _dispatch_chunks(tasks, workers)
+    """Every task's outcome, in task order, from cfg.parallelism workers,
+    or fewer when there are fewer submissions (the fork start method
+    forks every worker up front, busy or not)."""
+    chunks = _dispatch_chunks(tasks, cfg.parallelism)
     outcomes: list = [None] * len(tasks)
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(cfg.parallelism, len(chunks)),
         initializer=_init_worker,
-        initargs=(cfg, designs, _worker_blas_threads(workers)),
+        initargs=(cfg, designs),
     ) as pool:
         futures = [pool.submit(_run_tasks, [tasks[i] for i in chunk]) for chunk in chunks]
         try:
@@ -449,18 +466,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
     aborts the sweep, and so does a cell with no completed trials. With
     out_dir set, emits results.csv plus the plot-data files (bias/rmse vs
     n, per-trial scatter).
+
+    Every process of the sweep runs OpenBLAS on one thread; a pool is
+    started only when parallelism > 1 and some method trains a network.
     """
-    designs = {n: _make_design(cfg, n) for n in cfg.sample_sizes}
     tasks = [
         (n, method, t, trial_seed(cfg.base_seed, n, method, t))
         for n in cfg.sample_sizes
         for method in cfg.methods
         for t in range(cfg.n_trials)
     ]
-    if cfg.parallelism > 1:
-        outcomes = _run_pooled(cfg, designs, tasks)
-    else:
-        outcomes = [_run_task(cfg, designs, task) for task in tasks]
+    with _one_blas_thread():
+        designs = {n: _make_design(cfg, n) for n in cfg.sample_sizes}
+        if cfg.parallelism > 1 and cfg.methods != ("ols",):
+            outcomes = _run_pooled(cfg, designs, tasks)
+        else:
+            outcomes = [_run_task(cfg, designs, task) for task in tasks]
 
     by_cell: dict[tuple[int, str], list[TrialMetrics]] = {}
     records: list[TrialRecord] = []

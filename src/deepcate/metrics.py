@@ -46,17 +46,26 @@ def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two aligned vectors of length >= 2")
-    bc = b - b.mean()
-    corr = _centred_corr(a - a.mean(), bc, (bc * bc).sum())
+    ac, bc = a - a.mean(), b - b.mean()
+    corr = _centred_corr(ac, _centred_ss(a, ac), bc, _centred_ss(b, bc))
     if corr is None:
         raise ValueError("zero-variance input")
     return corr
 
 
-def _centred_corr(ac: np.ndarray, bc: np.ndarray, bc_ss) -> float | None:
-    """Pearson correlation of two centred vectors, given bc's sum of
-    squares; None when either vector is constant."""
-    denom = np.sqrt((ac * ac).sum() * bc_ss)
+def _centred_ss(v: np.ndarray, vc: np.ndarray) -> np.float64:
+    """The sum of squares of vc, v centred; exactly 0 when v is constant,
+    where vc may hold rounding residue (np.full(30, 0.2).mean() is not
+    0.2)."""
+    if v.max() == v.min():
+        return np.float64(0.0)
+    return (vc * vc).sum()
+
+
+def _centred_corr(ac: np.ndarray, ac_ss, bc: np.ndarray, bc_ss) -> float | None:
+    """Pearson correlation of two centred vectors, given their sums of
+    squares (_centred_ss); None when either is 0."""
+    denom = np.sqrt(ac_ss * bc_ss)
     if denom == 0.0:
         return None
     return float((ac * bc).sum() / denom)
@@ -108,7 +117,7 @@ def eval_truth(beta_true: np.ndarray, alpha_true: np.ndarray) -> EvalTruth:
         true_ate=float(ate),
         true_mean_alpha=float(alpha_true.mean()),
         beta_centred=bc,
-        beta_ss=(bc * bc).sum(),
+        beta_ss=_centred_ss(beta_true, bc),
     )
 
 
@@ -125,7 +134,8 @@ def trial_metrics(beta_hat: np.ndarray, truth: EvalTruth, runtime: float) -> Tri
     mean_hat = beta_hat.mean()
     corr = None
     if beta_hat.ndim == 1 and beta_hat.size >= 2:
-        corr = _centred_corr(beta_hat - mean_hat, truth.beta_centred, truth.beta_ss)
+        ac = beta_hat - mean_hat
+        corr = _centred_corr(ac, _centred_ss(beta_hat, ac), truth.beta_centred, truth.beta_ss)
     return TrialMetrics(
         mean_beta_hat=float(mean_hat),
         true_ate=truth.true_ate,

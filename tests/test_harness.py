@@ -360,12 +360,112 @@ class TestErrorsAndPool:
         if not parent_threads:
             pytest.skip("no OpenBLAS thread setter is loaded")
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=harness._init_worker, initargs=(tiny_cfg(), {}, 1)
+            max_workers=1, initializer=harness._init_worker, initargs=(tiny_cfg(), {})
         ) as pool:
             assert pool.submit(harness.openblas_threads).result(timeout=60) == [1] * len(parent_threads)
         # the parent keeps its threads, also after a pooled sweep
         run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
         assert harness.openblas_threads() == parent_threads
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The parent's OpenBLAS on 2 threads for the test, whatever the
+    host's default; its count before the test is put back after it."""
+    funcs = harness._openblas_thread_funcs()
+    if not funcs:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    before = harness.openblas_threads()
+    for set_threads, _get in funcs:
+        set_threads(2)
+    yield [2] * len(funcs)
+    for (set_threads, _get), threads in zip(funcs, before):
+        set_threads(threads)
+
+
+def record_pool_sizes(monkeypatch) -> list[int]:
+    """The max_workers of every ProcessPoolExecutor made from now on."""
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        sizes.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return sizes
+
+
+class TestProcessLayout:
+    def test_ols_only_sweep_starts_no_pool(self, monkeypatch, tmp_path):
+        cfg = tiny_cfg(sample_sizes=(40, 60), methods=("ols",), n_trials=3)
+        run_experiment(cfg, out_dir=tmp_path / "serial")
+        sizes = record_pool_sizes(monkeypatch)
+        run_experiment(dataclasses.replace(cfg, parallelism=2), out_dir=tmp_path / "two")
+        assert sizes == []
+        assert masked_results(tmp_path / "serial/results.csv") == masked_results(
+            tmp_path / "two/results.csv"
+        )
+        for name in ("bias_vs_n.csv", "trial_scatter.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_pool_has_no_more_workers_than_submissions(self, monkeypatch):
+        # three network trials: three submissions, so three workers, not eight
+        sizes = record_pool_sizes(monkeypatch)
+        run_experiment(tiny_cfg(methods=("naive",), n_trials=3, parallelism=8))
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_parent_fits_on_one_blas_thread(self, monkeypatch, two_blas_threads, parallelism):
+        # an ols-only sweep runs in the parent at any parallelism
+        seen = []
+        real = harness.fit_ols
+
+        def recording(X, Z, Y):
+            seen.append(harness.openblas_threads())
+            return real(X, Z, Y)
+
+        monkeypatch.setattr(harness, "fit_ols", recording)
+        run_experiment(tiny_cfg(methods=("ols",), parallelism=parallelism))
+        assert seen == [[1] * len(two_blas_threads)] * 2
+        assert harness.openblas_threads() == two_blas_threads
+
+    def test_parent_waits_on_the_pool_on_one_blas_thread(self, monkeypatch, two_blas_threads):
+        seen = []
+        real = harness._run_pooled
+
+        def recording(cfg, designs, tasks):
+            seen.append(harness.openblas_threads())
+            return real(cfg, designs, tasks)
+
+        monkeypatch.setattr(harness, "_run_pooled", recording)
+        run_experiment(tiny_cfg(parallelism=2))
+        assert seen == [[1] * len(two_blas_threads)]
+        assert harness.openblas_threads() == two_blas_threads
+
+    @pytest.mark.parametrize(
+        "methods, parallelism",
+        [(("ols",), 1), (("ols",), 2), (("naive", "ols"), 2)],
+        ids=["serial", "ols-only-in-parent", "raised-in-a-worker"],
+    )
+    def test_aborted_sweep_restores_the_parents_threads(
+        self, monkeypatch, two_blas_threads, methods, parallelism
+    ):
+        # the designs are drawn in the parent, inside the sweep; in a pooled
+        # sweep with a network method every trial runs in a worker
+        seen = []
+        real = harness._make_design
+
+        def recording(cfg, n):
+            seen.append(harness.openblas_threads())
+            return real(cfg, n)
+
+        monkeypatch.setattr(harness, "_make_design", recording)
+        monkeypatch.setattr(harness, "fit_ols", raise_type_error)
+        with pytest.raises(TypeError, match="programming error"):
+            run_experiment(tiny_cfg(methods=methods, parallelism=parallelism))
+        assert seen == [[1] * len(two_blas_threads)]
+        assert harness.openblas_threads() == two_blas_threads
 
 
 class TestModeratorTree:

@@ -90,6 +90,15 @@ class TestPearson:
         with pytest.raises(ValueError, match="variance"):
             metrics.pearson_corr(np.ones(5), np.arange(5.0))
 
+    @pytest.mark.parametrize("size", [30, 10_000])
+    def test_rejects_a_constant_whose_mean_rounds_off(self, size):
+        # np.full(size, 0.2).mean() is not 0.2: the centred values are
+        # rounding residue, not spread
+        with pytest.raises(ValueError, match="variance"):
+            metrics.pearson_corr(np.full(size, 0.2), np.arange(float(size)))
+        with pytest.raises(ValueError, match="variance"):
+            metrics.pearson_corr(np.arange(float(size)), np.full(size, 0.2))
+
 
 class TestTrialMetrics:
     def test_exact_estimate(self, rng):
@@ -122,6 +131,19 @@ class TestTrialMetrics:
         m = metrics.trial_metrics(rng.normal(size=30), truth, runtime=0.0)
         assert m.correlation is None
         assert m.true_ate == 2.0
+
+    @pytest.mark.parametrize("size", [30, 10_000])
+    def test_constant_estimate_whose_mean_rounds_off_has_no_correlation(self, rng, size):
+        beta = rng.normal(size=size)
+        m = metrics.trial_metrics(np.full(size, 0.2), metrics.eval_truth(beta, beta), runtime=0.0)
+        assert m.correlation is None
+
+    @pytest.mark.parametrize("size", [30, 10_000])
+    def test_constant_truth_whose_mean_rounds_off_has_no_correlation(self, rng, size):
+        truth = metrics.eval_truth(np.full(size, 0.2), rng.normal(size=size))
+        assert truth.beta_ss == 0.0
+        m = metrics.trial_metrics(rng.normal(size=size), truth, runtime=0.0)
+        assert m.correlation is None
 
     @given(a=finite_vectors, b=finite_vectors)
     def test_rmse_dominates_bias(self, a, b):
