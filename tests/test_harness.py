@@ -396,6 +396,19 @@ def record_pool_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+def record_blas_threads(monkeypatch, name: str) -> list[list[int]]:
+    """openblas_threads() at each call of harness.<name>, in this process."""
+    seen = []
+    real = getattr(harness, name)
+
+    def recording(*args):
+        seen.append(harness.openblas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(harness, name, recording)
+    return seen
+
+
 class TestProcessLayout:
     def test_ols_only_sweep_starts_no_pool(self, monkeypatch, tmp_path):
         cfg = tiny_cfg(sample_sizes=(40, 60), methods=("ols",), n_trials=3)
@@ -418,27 +431,13 @@ class TestProcessLayout:
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_parent_fits_on_one_blas_thread(self, monkeypatch, two_blas_threads, parallelism):
         # an ols-only sweep runs in the parent at any parallelism
-        seen = []
-        real = harness.fit_ols
-
-        def recording(X, Z, Y):
-            seen.append(harness.openblas_threads())
-            return real(X, Z, Y)
-
-        monkeypatch.setattr(harness, "fit_ols", recording)
+        seen = record_blas_threads(monkeypatch, "fit_ols")
         run_experiment(tiny_cfg(methods=("ols",), parallelism=parallelism))
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert harness.openblas_threads() == two_blas_threads
 
     def test_parent_waits_on_the_pool_on_one_blas_thread(self, monkeypatch, two_blas_threads):
-        seen = []
-        real = harness._run_pooled
-
-        def recording(cfg, designs, tasks):
-            seen.append(harness.openblas_threads())
-            return real(cfg, designs, tasks)
-
-        monkeypatch.setattr(harness, "_run_pooled", recording)
+        seen = record_blas_threads(monkeypatch, "_run_pooled")
         run_experiment(tiny_cfg(parallelism=2))
         assert seen == [[1] * len(two_blas_threads)]
         assert harness.openblas_threads() == two_blas_threads
@@ -453,14 +452,7 @@ class TestProcessLayout:
     ):
         # the designs are drawn in the parent, inside the sweep; in a pooled
         # sweep with a network method every trial runs in a worker
-        seen = []
-        real = harness._make_design
-
-        def recording(cfg, n):
-            seen.append(harness.openblas_threads())
-            return real(cfg, n)
-
-        monkeypatch.setattr(harness, "_make_design", recording)
+        seen = record_blas_threads(monkeypatch, "_make_design")
         monkeypatch.setattr(harness, "fit_ols", raise_type_error)
         with pytest.raises(TypeError, match="programming error"):
             run_experiment(tiny_cfg(methods=methods, parallelism=parallelism))
