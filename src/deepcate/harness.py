@@ -20,9 +20,7 @@ with method codes shared=1, bcf=2, naive=3, ols=4.
 
 Processes and threads: every process of a sweep runs OpenBLAS on one
 thread (its matrices are at most 10k x 100, too small to split); the
-parent's previous thread count is restored when the sweep ends. A sweep
-with no network trial (every method ols) runs in the parent, whatever
-its parallelism, as an ols trial costs less than its dispatch.
+parent's previous thread count is restored when the sweep ends.
 
 Process pool (parallelism > 1 and a network method): at most one worker
 per submission. Each worker receives every size's design, eval sample and
@@ -31,6 +29,13 @@ method, trial_index, seed). Tasks are dispatched longest first (bcf, then
 shared and naive, one trial per submission; ols last, in chunks), and
 outcomes are put back in grid order before aggregation, so the outputs do
 not depend on the worker count.
+
+A sweep with no network trial (every method ols) and parallelism > 1
+starts no pool: an ols trial costs less than a pool submission. The
+parent and parallelism - 1 forked helpers each claim the next trial from
+a shared counter, and the helpers send their outcomes back at the end.
+Two processes, not one, because on a host whose cores slow down in turns
+one process takes the full hit of every slow spell, while two share it.
 """
 
 from __future__ import annotations
@@ -410,6 +415,77 @@ def _run_tasks(tasks: list) -> list[tuple]:
     return [_run_task(cfg, designs, t) for t in tasks]
 
 
+def _claim_tasks(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task) -> list[tuple]:
+    """(index, outcome) of every task this process claims from the shared
+    counter next_task, one at a time, until none is left."""
+    done = []
+    while True:
+        with next_task.get_lock():
+            i = next_task.value
+            next_task.value = i + 1
+        if i >= len(tasks):
+            return done
+        done.append((i, _run_task(cfg, designs, tasks[i])))
+
+
+def _ols_helper(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task, conn) -> None:
+    """A helper process of an ols-only sweep: sends back its claimed
+    outcomes, or the exception that aborted it."""
+    _init_worker(cfg, designs)
+    try:
+        result = _claim_tasks(cfg, designs, tasks, next_task)
+    except Exception as exc:  # re-raised in the parent
+        result = exc
+    conn.send(result)
+
+
+def _run_shared(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list) -> list[tuple]:
+    """Every task's outcome, in task order, from the parent and up to
+    cfg.parallelism - 1 helper processes, each claiming the next trial
+    from a shared counter. For ols-only sweeps: an ols trial costs less
+    than a pool submission, and the parent computes instead of waiting."""
+    # imported here, as concurrent.futures defers its process pool, so
+    # that `import deepcate` does not pay for multiprocessing
+    import multiprocessing
+
+    next_task = multiprocessing.Value("q", 0)
+    helpers = []
+    for _ in range(min(cfg.parallelism, len(tasks)) - 1):
+        recv, send = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.Process(
+            target=_ols_helper, args=(cfg, designs, tasks, next_task, send), daemon=True
+        )
+        proc.start()
+        send.close()
+        helpers.append((proc, recv))
+    try:
+        done = _claim_tasks(cfg, designs, tasks, next_task)
+        for proc, recv in helpers:
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a helper process exited with code {proc.exitcode} before sending its outcomes"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            done += result
+    except BaseException:
+        # an error that aborts the sweep: the helpers' other trials are moot
+        for proc, _recv in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in helpers:
+            recv.close()
+            proc.join()
+    outcomes: list = [None] * len(tasks)
+    for i, outcome in done:
+        outcomes[i] = outcome
+    return outcomes
+
+
 # dispatch order: longest trials first (Graham's LPT rule)
 _DISPATCH_RANK = {"bcf": 0, "shared": 1, "naive": 1, "ols": 2}
 
@@ -468,7 +544,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
     n, per-trial scatter).
 
     Every process of the sweep runs OpenBLAS on one thread; a pool is
-    started only when parallelism > 1 and some method trains a network.
+    started only when parallelism > 1 and some method trains a network,
+    and an ols-only sweep shares its trials between the parent and
+    parallelism - 1 helper processes.
     """
     tasks = [
         (n, method, t, trial_seed(cfg.base_seed, n, method, t))
@@ -478,7 +556,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
     ]
     with _one_blas_thread():
         designs = {n: _make_design(cfg, n) for n in cfg.sample_sizes}
-        if cfg.parallelism > 1 and cfg.methods != ("ols",):
+        if cfg.parallelism > 1 and cfg.methods == ("ols",):
+            outcomes = _run_shared(cfg, designs, tasks)
+        elif cfg.parallelism > 1:
             outcomes = _run_pooled(cfg, designs, tasks)
         else:
             outcomes = [_run_task(cfg, designs, task) for task in tasks]

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -409,18 +411,108 @@ def record_blas_threads(monkeypatch, name: str) -> list[list[int]]:
     return seen
 
 
+def record_helpers(monkeypatch) -> list:
+    """The target of every multiprocessing.Process made from now on (the
+    process pool makes its workers through its context, not this name)."""
+    targets = []
+    real = multiprocessing.Process
+
+    def recording(*args, **kwargs):
+        targets.append(kwargs["target"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Process", recording)
+    return targets
+
+
+def idle_helper(cfg, designs, tasks, next_task, conn):
+    """An ols helper that claims no trial, so the parent runs them all."""
+    conn.send([])
+
+
+def failing_helper(cfg, designs, tasks, next_task, conn):
+    conn.send(TypeError("programming error in a helper"))
+
+
+def dying_helper(cfg, designs, tasks, next_task, conn):
+    os._exit(3)
+
+
 class TestProcessLayout:
-    def test_ols_only_sweep_starts_no_pool(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("parallelism", [2, 3])
+    def test_ols_only_sweep_starts_no_pool(self, monkeypatch, tmp_path, parallelism):
+        # the parent claims trials beside parallelism - 1 helpers
         cfg = tiny_cfg(sample_sizes=(40, 60), methods=("ols",), n_trials=3)
         run_experiment(cfg, out_dir=tmp_path / "serial")
         sizes = record_pool_sizes(monkeypatch)
-        run_experiment(dataclasses.replace(cfg, parallelism=2), out_dir=tmp_path / "two")
+        helpers = record_helpers(monkeypatch)
+        run_experiment(dataclasses.replace(cfg, parallelism=parallelism), out_dir=tmp_path / "shared")
         assert sizes == []
+        assert helpers == [harness._ols_helper] * (parallelism - 1)
         assert masked_results(tmp_path / "serial/results.csv") == masked_results(
-            tmp_path / "two/results.csv"
+            tmp_path / "shared/results.csv"
         )
         for name in ("bias_vs_n.csv", "trial_scatter.csv"):
-            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "shared" / name).read_bytes()
+
+    def test_no_more_helpers_than_trials(self, monkeypatch):
+        helpers = record_helpers(monkeypatch)
+        run_experiment(tiny_cfg(methods=("ols",), n_trials=2, parallelism=8))
+        assert len(helpers) == 1
+
+    def test_parent_runs_the_trials_no_helper_claims(self, monkeypatch, tmp_path):
+        cfg = tiny_cfg(sample_sizes=(40, 60), methods=("ols",), n_trials=3)
+        run_experiment(cfg, out_dir=tmp_path / "serial")
+        monkeypatch.setattr(harness, "_ols_helper", idle_helper)
+        run_experiment(dataclasses.replace(cfg, parallelism=2), out_dir=tmp_path / "parent")
+        assert masked_results(tmp_path / "serial/results.csv") == masked_results(
+            tmp_path / "parent/results.csv"
+        )
+        for name in ("bias_vs_n.csv", "trial_scatter.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parent" / name).read_bytes()
+
+    def test_helpers_run_on_one_blas_thread(self, monkeypatch, two_blas_threads):
+        # called outside a sweep: the parent stays on 2 threads
+        parent = os.getpid()
+        helper_ran = multiprocessing.Event()
+
+        def where(cfg, designs, task):
+            if os.getpid() == parent:
+                helper_ran.wait(timeout=60)  # leave trials to the helper
+            else:
+                helper_ran.set()
+            return os.getpid(), harness.openblas_threads()
+
+        monkeypatch.setattr(harness, "_run_task", where)
+        outcomes = harness._run_shared(tiny_cfg(methods=("ols",), parallelism=2), {}, [None] * 4)
+        in_helper = [threads for pid, threads in outcomes if pid != parent]
+        assert in_helper and all(t == [1] * len(two_blas_threads) for t in in_helper)
+        assert harness.openblas_threads() == two_blas_threads
+
+    def test_each_trial_is_claimed_once(self, monkeypatch):
+        # more processes than cores: a lost update of the shared counter
+        # would run some trial twice
+        runs = multiprocessing.Value("q", 0)
+
+        def count(cfg, designs, task):
+            with runs.get_lock():
+                runs.value += 1
+            return task
+
+        monkeypatch.setattr(harness, "_run_task", count)
+        tasks = list(range(3000))
+        assert harness._run_shared(tiny_cfg(methods=("ols",), parallelism=6), {}, tasks) == tasks
+        assert runs.value == len(tasks)
+
+    def test_helper_exception_aborts_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(harness, "_ols_helper", failing_helper)
+        with pytest.raises(TypeError, match="in a helper"):
+            run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
+
+    def test_helper_that_dies_aborts_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(harness, "_ols_helper", dying_helper)
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending its outcomes"):
+            run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
 
     def test_pool_has_no_more_workers_than_submissions(self, monkeypatch):
         # three network trials: three submissions, so three workers, not eight
@@ -430,7 +522,8 @@ class TestProcessLayout:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_parent_fits_on_one_blas_thread(self, monkeypatch, two_blas_threads, parallelism):
-        # an ols-only sweep runs in the parent at any parallelism
+        # with parallelism 2 the helper claims no trial: the parent runs them all
+        monkeypatch.setattr(harness, "_ols_helper", idle_helper)
         seen = record_blas_threads(monkeypatch, "fit_ols")
         run_experiment(tiny_cfg(methods=("ols",), parallelism=parallelism))
         assert seen == [[1] * len(two_blas_threads)] * 2
@@ -445,7 +538,7 @@ class TestProcessLayout:
     @pytest.mark.parametrize(
         "methods, parallelism",
         [(("ols",), 1), (("ols",), 2), (("naive", "ols"), 2)],
-        ids=["serial", "ols-only-in-parent", "raised-in-a-worker"],
+        ids=["serial", "ols-only-shared", "raised-in-a-worker"],
     )
     def test_aborted_sweep_restores_the_parents_threads(
         self, monkeypatch, two_blas_threads, methods, parallelism
