@@ -415,7 +415,9 @@ def _run_tasks(tasks: list) -> list[tuple]:
     return [_run_task(cfg, designs, t) for t in tasks]
 
 
-def _claim_tasks(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task) -> list[tuple]:
+def _claim_tasks(
+    cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task
+) -> list[tuple]:
     """(index, outcome) of every task this process claims from the shared
     counter next_task, one at a time, until none is left."""
     done = []
@@ -428,7 +430,9 @@ def _claim_tasks(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list
         done.append((i, _run_task(cfg, designs, tasks[i])))
 
 
-def _ols_helper(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task, conn) -> None:
+def _ols_helper(
+    cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task, conn
+) -> None:
     """A helper process of an ols-only sweep: sends back its claimed
     outcomes, or the exception that aborted it."""
     _init_worker(cfg, designs)
