@@ -22,25 +22,20 @@ Processes and threads: every process of a sweep runs OpenBLAS on one
 thread (its matrices are at most 10k x 100, too small to split); the
 parent's previous thread count is restored when the sweep ends.
 
-Process pool (parallelism > 1 and a network method): at most one worker
-per submission. Each worker receives every size's design, eval sample and
-fixed Z once, through the pool initializer. A task is then only (n,
-method, trial_index, seed). Tasks are dispatched longest first (bcf, then
-shared and naive, one trial per submission; ols last, in chunks), and
-outcomes are put back in grid order before aggregation, so the outputs do
-not depend on the worker count.
-
-A sweep with no network trial (every method ols) and parallelism > 1
-starts no pool: an ols trial costs less than a pool submission. The
-parent and parallelism - 1 forked helpers each claim the next trial from
-a shared counter, and the helpers send their outcomes back at the end.
-Two processes, not one, because on a host whose cores slow down in turns
-one process takes the full hit of every slow spell, while two share it.
+Parallel sweeps (parallelism > 1): forked helper processes, no more than
+there are trials, each claim the next trial from a shared counter,
+longest first (bcf, then shared and naive, then ols), and send their
+outcomes back at the end. They inherit every size's design, eval sample
+and fixed Z from the parent. In an ols-only sweep the parent claims
+trials beside parallelism - 1 helpers; on a host whose cores slow down in
+turns, two processes share each slow spell where one would take it
+whole. Otherwise parallelism helpers run the trials and the parent only
+collects them. Outcomes are put back in grid order before aggregation,
+so the outputs do not depend on the process count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import ctypes
 import json
@@ -339,7 +334,7 @@ def _run_task(cfg: ExperimentConfig, designs: dict[int, _Design], task) -> tuple
         return None, f"{type(exc).__name__}: {exc}"
 
 
-# --- process pool ------------------------------------------------------
+# --- processes and BLAS threads ----------------------------------------
 
 # (setter, getter) C entry points of OpenBLAS builds: scipy-openblas
 # 64-bit-integer (numpy's), scipy-openblas (scipy's), and plain OpenBLAS
@@ -399,132 +394,107 @@ def _one_blas_thread():
             set_threads(threads)
 
 
-# set in each pool worker by _init_worker: (cfg, designs by n)
-_worker_sweep: tuple | None = None
-
-
-def _init_worker(cfg: ExperimentConfig, designs: dict[int, _Design]) -> None:
-    global _worker_sweep
-    _worker_sweep = (cfg, designs)
-    for set_threads, _get in _openblas_thread_funcs():
-        set_threads(1)
-
-
-def _run_tasks(tasks: list) -> list[tuple]:
-    cfg, designs = _worker_sweep
-    return [_run_task(cfg, designs, t) for t in tasks]
+# claim order: longest trials first (Graham's LPT rule), ties in grid order
+_DISPATCH_RANK = {"bcf": 0, "shared": 1, "naive": 1, "ols": 2}
 
 
 def _claim_tasks(
-    cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task
+    cfg: ExperimentConfig, designs: dict[int, _Design], queue: list, next_task
 ) -> list[tuple]:
-    """(index, outcome) of every task this process claims from the shared
-    counter next_task, one at a time, until none is left."""
+    """(index, outcome) of every (index, task) of queue that this process
+    claims from the shared counter next_task, one at a time, until none is
+    left. A task that raises sets the counter past the end, so that no
+    process claims another."""
     done = []
     while True:
         with next_task.get_lock():
-            i = next_task.value
-            next_task.value = i + 1
-        if i >= len(tasks):
+            k = next_task.value
+            next_task.value = k + 1
+        if k >= len(queue):
             return done
-        done.append((i, _run_task(cfg, designs, tasks[i])))
+        i, task = queue[k]
+        try:
+            done.append((i, _run_task(cfg, designs, task)))
+        except BaseException:
+            with next_task.get_lock():
+                next_task.value = len(queue)
+            raise
 
 
-def _ols_helper(
-    cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list, next_task, conn
+def _helper(
+    cfg: ExperimentConfig, designs: dict[int, _Design], queue: list, next_task, conn
 ) -> None:
-    """A helper process of an ols-only sweep: sends back its claimed
-    outcomes, or the exception that aborted it."""
-    _init_worker(cfg, designs)
+    """A helper process: runs OpenBLAS on one thread and sends back its
+    claimed outcomes, or the exception that aborted it."""
+    for set_threads, _get in _openblas_thread_funcs():
+        set_threads(1)
     try:
-        result = _claim_tasks(cfg, designs, tasks, next_task)
+        result = _claim_tasks(cfg, designs, queue, next_task)
     except Exception as exc:  # re-raised in the parent
         result = exc
     conn.send(result)
 
 
 def _run_shared(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list) -> list[tuple]:
-    """Every task's outcome, in task order, from the parent and up to
-    cfg.parallelism - 1 helper processes, each claiming the next trial
-    from a shared counter. For ols-only sweeps: an ols trial costs less
-    than a pool submission, and the parent computes instead of waiting."""
-    # imported here, as concurrent.futures defers its process pool, so
-    # that `import deepcate` does not pay for multiprocessing
-    import multiprocessing
+    """Every task's outcome, in task order, from processes that each claim
+    the next trial from a shared counter, longest trials first.
 
-    next_task = multiprocessing.Value("q", 0)
-    helpers = []
-    for _ in range(min(cfg.parallelism, len(tasks)) - 1):
-        recv, send = multiprocessing.Pipe(duplex=False)
-        proc = multiprocessing.Process(
-            target=_ols_helper, args=(cfg, designs, tasks, next_task, send), daemon=True
+    In an ols-only sweep the parent claims trials beside parallelism - 1
+    helpers: an ols trial is short, and the parent would otherwise idle.
+    Otherwise parallelism helpers run the trials and the parent only
+    collects them, as a network trial would raise the parent's own peak
+    memory. Never more helpers than trials. The parent reads whichever
+    helper answers first, so one that raises or dies aborts the sweep at
+    once; only a helper that dies in an ols-only sweep is seen after the
+    parent's own claims.
+    """
+    # imported here so that `import deepcate` does not pay for them
+    import multiprocessing
+    import multiprocessing.connection
+
+    # forked, never spawned: helpers inherit the designs (and the module
+    # as the parent has it) instead of importing and unpickling them
+    ctx = multiprocessing.get_context("fork")
+    queue = sorted(enumerate(tasks), key=lambda item: _DISPATCH_RANK[item[1][1]])
+    next_task = ctx.Value("q", 0)
+    parent_claims = cfg.methods == ("ols",)
+    helpers = {}
+    for _ in range(min(cfg.parallelism, len(tasks)) - parent_claims):
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=_helper, args=(cfg, designs, queue, next_task, send), daemon=True
         )
         proc.start()
         send.close()
-        helpers.append((proc, recv))
+        helpers[recv] = proc
     try:
-        done = _claim_tasks(cfg, designs, tasks, next_task)
-        for proc, recv in helpers:
-            try:
-                result = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"a helper process exited with code {proc.exitcode} before sending its outcomes"
-                ) from None
-            if isinstance(result, BaseException):
-                raise result
-            done += result
+        done = _claim_tasks(cfg, designs, queue, next_task) if parent_claims else []
+        pending = dict(helpers)
+        while pending:
+            for recv in multiprocessing.connection.wait(list(pending)):
+                proc = pending.pop(recv)
+                try:
+                    result = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"a helper process exited with code {proc.exitcode} before sending its outcomes"
+                    ) from None
+                if isinstance(result, BaseException):
+                    raise result
+                done += result
     except BaseException:
         # an error that aborts the sweep: the helpers' other trials are moot
-        for proc, _recv in helpers:
+        for proc in helpers.values():
             proc.terminate()
         raise
     finally:
-        for proc, recv in helpers:
+        for recv, proc in helpers.items():
             recv.close()
             proc.join()
     outcomes: list = [None] * len(tasks)
     for i, outcome in done:
         outcomes[i] = outcome
-    return outcomes
-
-
-# dispatch order: longest trials first (Graham's LPT rule)
-_DISPATCH_RANK = {"bcf": 0, "shared": 1, "naive": 1, "ols": 2}
-
-
-def _dispatch_chunks(tasks: list, workers: int) -> list[list[int]]:
-    """Task indices in submissions, longest trials first: one per network
-    trial, and the ols trials in chunks of about len(ols) / (4 workers)."""
-    order = sorted(range(len(tasks)), key=lambda i: _DISPATCH_RANK[tasks[i][1]])
-    ols = [i for i in order if tasks[i][1] == "ols"]
-    size = max(1, math.ceil(len(ols) / (4 * workers)))
-    nets = [[i] for i in order if tasks[i][1] != "ols"]
-    return nets + [ols[k : k + size] for k in range(0, len(ols), size)]
-
-
-def _run_pooled(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list) -> list[tuple]:
-    """Every task's outcome, in task order, from cfg.parallelism workers,
-    or fewer when there are fewer submissions (the fork start method
-    forks every worker up front, busy or not)."""
-    chunks = _dispatch_chunks(tasks, cfg.parallelism)
-    outcomes: list = [None] * len(tasks)
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(cfg.parallelism, len(chunks)),
-        initializer=_init_worker,
-        initargs=(cfg, designs),
-    ) as pool:
-        futures = [pool.submit(_run_tasks, [tasks[i] for i in chunk]) for chunk in chunks]
-        try:
-            for chunk, future in zip(chunks, futures):
-                for i, outcome in zip(chunk, future.result()):
-                    outcomes[i] = outcome
-        except BaseException:
-            # an error that aborts the sweep: do not run the queued tasks
-            for future in futures:
-                future.cancel()
-            raise
     return outcomes
 
 
@@ -547,10 +517,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
     out_dir set, emits results.csv plus the plot-data files (bias/rmse vs
     n, per-trial scatter).
 
-    Every process of the sweep runs OpenBLAS on one thread; a pool is
-    started only when parallelism > 1 and some method trains a network,
-    and an ols-only sweep shares its trials between the parent and
-    parallelism - 1 helper processes.
+    Every process of the sweep runs OpenBLAS on one thread. With
+    parallelism > 1 the trials run in forked helper processes that claim
+    them from a shared counter (_run_shared); an ols-only sweep's parent
+    claims trials beside parallelism - 1 of them.
     """
     tasks = [
         (n, method, t, trial_seed(cfg.base_seed, n, method, t))
@@ -560,10 +530,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
     ]
     with _one_blas_thread():
         designs = {n: _make_design(cfg, n) for n in cfg.sample_sizes}
-        if cfg.parallelism > 1 and cfg.methods == ("ols",):
+        if cfg.parallelism > 1:
             outcomes = _run_shared(cfg, designs, tasks)
-        elif cfg.parallelism > 1:
-            outcomes = _run_pooled(cfg, designs, tasks)
         else:
             outcomes = [_run_task(cfg, designs, task) for task in tasks]
 
@@ -606,8 +574,9 @@ def write_experiment_outputs(table: ResultsTable, records: list[TrialRecord], ou
             ("method", "n", "regime", column),
             ((r.method, r.n, r.regime, getattr(r, column)) for r in table.rows),
         )
-    # long format: one row per completed trial, so per-trial method pairs
-    # (e.g. shared vs bcf bias) can be pivoted out per (n, trial_index)
+    # long format: one row per completed trial. The methods' rows of one
+    # (n, trial) are not paired: trial_seed includes the method code, so
+    # each method fits its own draw of Z and the noise
     write_csv(
         out / "trial_scatter.csv",
         ("regime", "n", "trial", "method", "abs_bias", "rmse"),

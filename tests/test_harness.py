@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -6,6 +5,7 @@ import json
 import logging
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -300,7 +300,7 @@ class TestErrorsAndPool:
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_type_error_aborts_the_sweep(self, monkeypatch, parallelism):
         # only a diverged or degenerate trial is a failed trial; a
-        # programming error propagates, from a pool worker too
+        # programming error propagates, from a helper process too
         monkeypatch.setattr(harness, "fit_ols", raise_type_error)
         with pytest.raises(TypeError, match="programming error"):
             run_experiment(tiny_cfg(methods=("ols",), parallelism=parallelism))
@@ -325,8 +325,9 @@ class TestErrorsAndPool:
                 run_experiment(tiny_cfg(methods=("bcf", "ols")))
         assert caplog.text.count("TrialFailedError: bcf: single-class") == 2
 
+    @pytest.mark.parametrize("parallelism", [2, 3])
     @pytest.mark.parametrize("redraw_z", [True, False])
-    def test_pool_writes_the_serial_bytes(self, tmp_path, redraw_z):
+    def test_parallel_sweep_writes_the_serial_bytes(self, tmp_path, redraw_z, parallelism):
         cfg = tiny_cfg(
             sample_sizes=(40, 60),
             methods=harness.METHODS,
@@ -335,39 +336,12 @@ class TestErrorsAndPool:
             train=TrainSettings(epochs=2, batch_size=16),
         )
         run_experiment(cfg, out_dir=tmp_path / "serial")
-        run_experiment(dataclasses.replace(cfg, parallelism=2), out_dir=tmp_path / "pool")
+        run_experiment(dataclasses.replace(cfg, parallelism=parallelism), out_dir=tmp_path / "parallel")
         assert masked_results(tmp_path / "serial/results.csv") == masked_results(
-            tmp_path / "pool/results.csv"
+            tmp_path / "parallel/results.csv"
         )
         for name in ("bias_vs_n.csv", "trial_scatter.csv"):
-            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
-
-    def test_dispatch_longest_first_and_chunks_ols(self):
-        tasks = [(n, m, t, 0) for n in (40, 60) for m in harness.METHODS for t in range(10)]
-        chunks = harness._dispatch_chunks(tasks, workers=2)
-        assert sorted(i for c in chunks for i in c) == list(range(len(tasks)))
-        # bcf, then shared and naive, one trial each, in grid order
-        nets = [c for c in chunks if tasks[c[0]][1] != "ols"]
-        assert all(len(c) == 1 for c in nets)
-        assert [tasks[c[0]][1] for c in nets[:20]] == ["bcf"] * 20
-        assert {tasks[c[0]][1] for c in nets[20:]} == {"shared", "naive"}
-        assert [c[0] for c in nets[20:]] == sorted(c[0] for c in nets[20:])
-        # then the 20 ols trials, in chunks of ceil(20 / (4 * 2)) = 3
-        ols = chunks[len(nets) :]
-        assert [len(c) for c in ols] == [3, 3, 3, 3, 3, 3, 2]
-        assert all(tasks[i][1] == "ols" for c in ols for i in c)
-
-    def test_pool_worker_caps_openblas_threads(self):
-        parent_threads = harness.openblas_threads()
-        if not parent_threads:
-            pytest.skip("no OpenBLAS thread setter is loaded")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=harness._init_worker, initargs=(tiny_cfg(), {})
-        ) as pool:
-            assert pool.submit(harness.openblas_threads).result(timeout=60) == [1] * len(parent_threads)
-        # the parent keeps its threads, also after a pooled sweep
-        run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
-        assert harness.openblas_threads() == parent_threads
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
 
 
 @pytest.fixture
@@ -385,19 +359,6 @@ def two_blas_threads():
         set_threads(threads)
 
 
-def record_pool_sizes(monkeypatch) -> list[int]:
-    """The max_workers of every ProcessPoolExecutor made from now on."""
-    sizes = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def recording(*args, **kwargs):
-        sizes.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-    return sizes
-
-
 def record_blas_threads(monkeypatch, name: str) -> list[list[int]]:
     """openblas_threads() at each call of harness.<name>, in this process."""
     seen = []
@@ -412,30 +373,35 @@ def record_blas_threads(monkeypatch, name: str) -> list[list[int]]:
 
 
 def record_helpers(monkeypatch) -> list:
-    """The target of every multiprocessing.Process made from now on (the
-    process pool makes its workers through its context, not this name)."""
+    """The target of every process the fork context makes from now on."""
     targets = []
-    real = multiprocessing.Process
+    ctx = multiprocessing.get_context("fork")
+    real = ctx.Process
 
     def recording(*args, **kwargs):
         targets.append(kwargs["target"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Process", recording)
+    monkeypatch.setattr(ctx, "Process", recording)
     return targets
 
 
-def idle_helper(cfg, designs, tasks, next_task, conn):
-    """An ols helper that claims no trial, so the parent runs them all."""
+def idle_helper(cfg, designs, queue, next_task, conn):
+    """A helper that claims no trial, so the parent runs them all."""
     conn.send([])
 
 
-def failing_helper(cfg, designs, tasks, next_task, conn):
+def failing_helper(cfg, designs, queue, next_task, conn):
     conn.send(TypeError("programming error in a helper"))
 
 
-def dying_helper(cfg, designs, tasks, next_task, conn):
+def dying_helper(cfg, designs, queue, next_task, conn):
     os._exit(3)
+
+
+def grid(methods, n_trials):
+    """Stand-in tasks (n, method, trial, seed) of a 60-row sweep."""
+    return [(60, m, t, 0) for m in methods for t in range(n_trials)]
 
 
 class TestProcessLayout:
@@ -444,11 +410,9 @@ class TestProcessLayout:
         # the parent claims trials beside parallelism - 1 helpers
         cfg = tiny_cfg(sample_sizes=(40, 60), methods=("ols",), n_trials=3)
         run_experiment(cfg, out_dir=tmp_path / "serial")
-        sizes = record_pool_sizes(monkeypatch)
         helpers = record_helpers(monkeypatch)
         run_experiment(dataclasses.replace(cfg, parallelism=parallelism), out_dir=tmp_path / "shared")
-        assert sizes == []
-        assert helpers == [harness._ols_helper] * (parallelism - 1)
+        assert helpers == [harness._helper] * (parallelism - 1)
         assert masked_results(tmp_path / "serial/results.csv") == masked_results(
             tmp_path / "shared/results.csv"
         )
@@ -456,14 +420,46 @@ class TestProcessLayout:
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "shared" / name).read_bytes()
 
     def test_no_more_helpers_than_trials(self, monkeypatch):
+        # two ols trials: the parent and one helper; three network trials:
+        # three helpers, not eight
         helpers = record_helpers(monkeypatch)
         run_experiment(tiny_cfg(methods=("ols",), n_trials=2, parallelism=8))
         assert len(helpers) == 1
+        run_experiment(tiny_cfg(methods=("naive",), n_trials=3, parallelism=8))
+        assert len(helpers) == 1 + 3
+
+    def test_parent_claims_nothing_in_a_mixed_sweep(self, monkeypatch):
+        # a network trial in the parent would raise its own peak memory
+        helpers = record_helpers(monkeypatch)
+        monkeypatch.setattr(harness, "_run_task", lambda cfg, designs, task: os.getpid())
+        pids = harness._run_shared(tiny_cfg(parallelism=2), {}, grid(("naive", "ols"), 20))
+        assert helpers == [harness._helper] * 2
+        assert os.getpid() not in pids
+
+    def test_claims_longest_first(self, monkeypatch):
+        # one helper and an idle parent: the helper runs the trials in the
+        # order they are claimed
+        ran = []
+
+        def position(cfg, designs, task):
+            ran.append(task)
+            return len(ran) - 1
+
+        monkeypatch.setattr(harness, "_run_task", position)
+        tasks = [(n, m, t, 0) for n in (40, 60) for m in harness.METHODS for t in range(3)]
+        positions = harness._run_shared(tiny_cfg(methods=harness.METHODS, parallelism=1), {}, tasks)
+        # bcf, then shared and naive, then ols, each in grid order
+        expected = (
+            [t for t in tasks if t[1] == "bcf"]
+            + [t for t in tasks if t[1] in ("shared", "naive")]
+            + [t for t in tasks if t[1] == "ols"]
+        )
+        assert [tasks[i] for i in np.argsort(positions)] == expected
 
     def test_parent_runs_the_trials_no_helper_claims(self, monkeypatch, tmp_path):
         cfg = tiny_cfg(sample_sizes=(40, 60), methods=("ols",), n_trials=3)
         run_experiment(cfg, out_dir=tmp_path / "serial")
-        monkeypatch.setattr(harness, "_ols_helper", idle_helper)
+        monkeypatch.setattr(harness, "_helper", idle_helper)
         run_experiment(dataclasses.replace(cfg, parallelism=2), out_dir=tmp_path / "parent")
         assert masked_results(tmp_path / "serial/results.csv") == masked_results(
             tmp_path / "parent/results.csv"
@@ -484,9 +480,10 @@ class TestProcessLayout:
             return os.getpid(), harness.openblas_threads()
 
         monkeypatch.setattr(harness, "_run_task", where)
-        outcomes = harness._run_shared(tiny_cfg(methods=("ols",), parallelism=2), {}, [None] * 4)
-        in_helper = [threads for pid, threads in outcomes if pid != parent]
-        assert in_helper and all(t == [1] * len(two_blas_threads) for t in in_helper)
+        for methods in (("ols",), ("naive", "ols")):
+            outcomes = harness._run_shared(tiny_cfg(methods=methods, parallelism=2), {}, grid(methods, 2))
+            in_helper = [threads for pid, threads in outcomes if pid != parent]
+            assert in_helper and all(t == [1] * len(two_blas_threads) for t in in_helper)
         assert harness.openblas_threads() == two_blas_threads
 
     def test_each_trial_is_claimed_once(self, monkeypatch):
@@ -500,37 +497,80 @@ class TestProcessLayout:
             return task
 
         monkeypatch.setattr(harness, "_run_task", count)
-        tasks = list(range(3000))
+        tasks = grid(("ols",), 3000)
         assert harness._run_shared(tiny_cfg(methods=("ols",), parallelism=6), {}, tasks) == tasks
         assert runs.value == len(tasks)
 
     def test_helper_exception_aborts_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(harness, "_ols_helper", failing_helper)
+        monkeypatch.setattr(harness, "_helper", failing_helper)
         with pytest.raises(TypeError, match="in a helper"):
             run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
 
     def test_helper_that_dies_aborts_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(harness, "_ols_helper", dying_helper)
+        monkeypatch.setattr(harness, "_helper", dying_helper)
         with pytest.raises(RuntimeError, match="exited with code 3 before sending its outcomes"):
             run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
 
-    def test_pool_has_no_more_workers_than_submissions(self, monkeypatch):
-        # three network trials: three submissions, so three workers, not eight
-        sizes = record_pool_sizes(monkeypatch)
-        run_experiment(tiny_cfg(methods=("naive",), n_trials=3, parallelism=8))
-        assert sizes == [3]
+    @pytest.mark.parametrize(
+        "methods, fault",
+        [(("ols",), "raises"), (("naive",), "raises"), (("naive",), "dies")],
+        ids=["ols-only-raises", "raises", "dies"],
+    )
+    def test_aborted_sweep_stops_early(self, monkeypatch, methods, fault):
+        # the last helper to start raises or dies on its second trial: the
+        # sweep aborts before the other processes run the rest, also when
+        # the parent would read that helper last
+        parent = os.getpid()
+        helpers = 2 if methods == ("ols",) else 3
+        runs = multiprocessing.Value("q", 0)
+        started = multiprocessing.Value("q", 0)
+        me = {"trials": 0}  # each process's own, after the fork
+
+        def slow(cfg, designs, task):
+            with runs.get_lock():
+                runs.value += 1
+            if os.getpid() != parent:
+                if "rank" not in me:
+                    with started.get_lock():
+                        started.value += 1
+                        me["rank"] = started.value
+                me["trials"] += 1
+                if me["rank"] == helpers and me["trials"] == 2:
+                    if fault == "dies":
+                        os._exit(3)
+                    raise TypeError("programming error in a helper")
+            time.sleep(0.05)
+            return None, None
+
+        monkeypatch.setattr(harness, "_run_task", slow)
+        tasks = grid(methods, 40)
+        error = RuntimeError if fault == "dies" else TypeError
+        with pytest.raises(error, match="exited with code 3|in a helper"):
+            harness._run_shared(tiny_cfg(methods=methods, parallelism=3), {}, tasks)
+        assert runs.value < len(tasks)
+
+    def test_helpers_are_forked_whatever_the_default_start_method(self, monkeypatch):
+        # helpers inherit the parent's designs and its patched harness
+        before = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            monkeypatch.setattr(harness, "_run_task", lambda cfg, designs, task: ("patched", os.getpid()))
+            outcomes = harness._run_shared(tiny_cfg(parallelism=2), {}, grid(("naive",), 4))
+        finally:
+            multiprocessing.set_start_method(before, force=True)
+        assert all(tag == "patched" and pid != os.getpid() for tag, pid in outcomes)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_parent_fits_on_one_blas_thread(self, monkeypatch, two_blas_threads, parallelism):
         # with parallelism 2 the helper claims no trial: the parent runs them all
-        monkeypatch.setattr(harness, "_ols_helper", idle_helper)
+        monkeypatch.setattr(harness, "_helper", idle_helper)
         seen = record_blas_threads(monkeypatch, "fit_ols")
         run_experiment(tiny_cfg(methods=("ols",), parallelism=parallelism))
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert harness.openblas_threads() == two_blas_threads
 
-    def test_parent_waits_on_the_pool_on_one_blas_thread(self, monkeypatch, two_blas_threads):
-        seen = record_blas_threads(monkeypatch, "_run_pooled")
+    def test_parent_waits_on_the_helpers_on_one_blas_thread(self, monkeypatch, two_blas_threads):
+        seen = record_blas_threads(monkeypatch, "_run_shared")
         run_experiment(tiny_cfg(parallelism=2))
         assert seen == [[1] * len(two_blas_threads)]
         assert harness.openblas_threads() == two_blas_threads
@@ -543,8 +583,8 @@ class TestProcessLayout:
     def test_aborted_sweep_restores_the_parents_threads(
         self, monkeypatch, two_blas_threads, methods, parallelism
     ):
-        # the designs are drawn in the parent, inside the sweep; in a pooled
-        # sweep with a network method every trial runs in a worker
+        # the designs are drawn in the parent, inside the sweep; in a
+        # parallel sweep with a network method every trial runs in a helper
         seen = record_blas_threads(monkeypatch, "_make_design")
         monkeypatch.setattr(harness, "fit_ols", raise_type_error)
         with pytest.raises(TypeError, match="programming error"):
@@ -567,8 +607,9 @@ class TestModeratorTree:
         tree = fit_moderator_tree(X, y, max_depth=1, min_leaf=5)
         assert not tree.root.is_leaf
         assert tree.root.feature == 0
-        # the split must separate the two plateaus
-        assert abs(tree.root.threshold) < np.abs(X[:, 0]).min() + 1e-6 or True
+        # the split is the midpoint of the two x1 values that straddle 0
+        below, above = X[X[:, 0] <= 0.0, 0].max(), X[X[:, 0] > 0.0, 0].min()
+        assert tree.root.threshold == (below + above) / 2
         left_mask = X[:, 0] <= tree.root.threshold
         assert tree.root.left.value == pytest.approx(y[left_mask].mean(), abs=1e-10)
         assert tree.root.right.value == pytest.approx(y[~left_mask].mean(), abs=1e-10)
