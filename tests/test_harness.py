@@ -343,6 +343,19 @@ class TestErrorsAndPool:
         for name in ("bias_vs_n.csv", "trial_scatter.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
 
+    def test_pool_worker_caps_openblas_threads(self, monkeypatch):
+        # the helpers that took the pool workers' place run on one thread
+        parent_threads = harness.openblas_threads()
+        if not parent_threads:
+            pytest.skip("no OpenBLAS thread setter is loaded")
+        monkeypatch.setattr(harness, "_run_task", lambda cfg, designs, task: harness.openblas_threads())
+        outcomes = harness._run_shared(tiny_cfg(parallelism=2), {}, grid(("naive",), 2))
+        assert outcomes == [[1] * len(parent_threads)] * 2
+        monkeypatch.undo()
+        # the parent keeps its threads, also after a parallel sweep
+        run_experiment(tiny_cfg(methods=("ols",), parallelism=2))
+        assert harness.openblas_threads() == parent_threads
+
 
 @pytest.fixture
 def two_blas_threads():
@@ -420,13 +433,15 @@ class TestProcessLayout:
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "shared" / name).read_bytes()
 
     def test_no_more_helpers_than_trials(self, monkeypatch):
-        # two ols trials: the parent and one helper; three network trials:
-        # three helpers, not eight
         helpers = record_helpers(monkeypatch)
         run_experiment(tiny_cfg(methods=("ols",), n_trials=2, parallelism=8))
         assert len(helpers) == 1
+
+    def test_pool_has_no_more_workers_than_submissions(self, monkeypatch):
+        # three network trials: three helpers, not eight
+        helpers = record_helpers(monkeypatch)
         run_experiment(tiny_cfg(methods=("naive",), n_trials=3, parallelism=8))
-        assert len(helpers) == 1 + 3
+        assert helpers == [harness._helper] * 3
 
     def test_parent_claims_nothing_in_a_mixed_sweep(self, monkeypatch):
         # a network trial in the parent would raise its own peak memory
