@@ -6,14 +6,20 @@ caller-supplied integers. A non-finite value anywhere is an error state,
 never silently propagated.
 
 A network keeps its parameters in one flat buffer with per-layer views.
-One loop, `train_nets`, trains every model through the model's `Head`:
-backward writes into a flat gradient buffer and one fused Adam step updates
-it in place. `forward`, `backward` and `adam_update` wrap the same parts.
-A pass writes each layer's activation over its pre-activation buffer.
+One loop, `train_nets`, trains every model through the model's `Head`.
+A fit lays all of its networks' parameters, gradients and Adam moments
+out in one flat buffer each, so one fused Adam step updates them all in
+place. Each network gets one preallocated workspace per batch size the
+fit meets (the full batch and the short last batch), and the step's
+forward and backward passes write each layer's arrays into it. `forward`,
+`backward` and `adam_update` run the same layer loops and Adam step, on
+fresh arrays. A pass writes each layer's activation over its
+pre-activation buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -189,29 +195,85 @@ def count_params(net: MlpNetwork) -> int:
 
 
 def _sigmoid(z: np.ndarray) -> None:
-    pos = z >= 0
-    ez = np.exp(z[~pos])
-    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    z[~pos] = ez / (1.0 + ez)
+    """The logistic function, in place: with e = exp(-|z|), 1 / (1 + e)
+    where z >= 0 and e / (1 + e) elsewhere, so no exp overflows."""
+    pos = z >= 0.0
+    e = np.exp(np.where(pos, -z, z))  # -|z|, but a nan keeps its sign
+    np.divide(np.where(pos, 1.0, e), 1.0 + e, out=z)
 
 
-def _forward(net: MlpNetwork, X: np.ndarray, rng) -> tuple[np.ndarray, list[LayerCache]]:
-    """The forward pass; rng draws the dropout masks, None in eval mode."""
+class _Workspace:
+    """Buffers for one network's training step on a batch of `rows` rows.
+
+    `x` takes the batch's input rows. Per layer: `h` the activation,
+    `a` its dropped-out copy (dropout layers only), `g` the backward
+    gradient and `pos` the relu positivity (relu layers only). The dropout
+    uniforms and the masks are one flat buffer each over all dropout
+    layers, in layer order, with per-layer views.
+    """
+
+    def __init__(self, layers, rows: int):
+        def per_layer(wanted, dtype=np.float64):
+            return [np.empty((rows, s.out_dim), dtype) if wanted(s) else None for s in layers]
+
+        self.x = np.empty((rows, layers[0].in_dim))
+        self.h = per_layer(lambda s: True)
+        self.a = per_layer(lambda s: s.dropout_rate > 0.0)
+        self.g = per_layer(lambda s: True)
+        self.pos = per_layer(lambda s: s.activation == "relu", bool)
+        dropped = [s for s in layers if s.dropout_rate > 0.0]
+        size = rows * sum(s.out_dim for s in dropped)
+        self.u, self.mask = np.empty(size), np.empty(size)
+        self.masks, per_layer_groups, o = [], [], 0
+        for s in layers:
+            if s.dropout_rate == 0.0:
+                self.masks.append(None)
+                continue
+            end = o + rows * s.out_dim
+            u, mask = (buf[o:end].reshape(rows, s.out_dim) for buf in (self.u, self.mask))
+            per_layer_groups.append((s.dropout_rate, u, mask))
+            self.masks.append(mask)
+            o = end
+        # (rate, uniforms, mask) to threshold: all layers at once when they share a rate
+        if len({s.dropout_rate for s in dropped}) == 1:
+            self.groups = [(dropped[0].dropout_rate, self.u, self.mask)]
+        else:
+            self.groups = per_layer_groups
+
+    def draw_masks(self, rng) -> None:
+        """Fill every layer's inverted-dropout mask from one draw of uniforms,
+        the same stream as one draw per layer in layer order."""
+        if self.groups:
+            rng.random(out=self.u)
+        for rate, u, mask in self.groups:
+            np.greater_equal(u, rate, out=mask)  # 1.0 where kept, 0.0 where dropped
+            mask *= 1.0 / (1.0 - rate)  # the values of (u >= rate) / (1 - rate)
+
+
+def _forward(
+    net: MlpNetwork, X: np.ndarray, rng, ws: _Workspace | None = None
+) -> tuple[np.ndarray, list[LayerCache]]:
+    """The forward pass; rng draws the dropout masks, None in eval mode.
+
+    A training pass writes into `ws`, a new workspace when none is given;
+    an eval pass allocates each layer's output. The caller sets
+    np.errstate: overflow surfaces as a non-finite output.
+    """
+    if rng is not None:
+        ws = ws or _Workspace(net.layers, X.shape[0])
+        ws.draw_masks(rng)
     caches = []
     a = X
-    with np.errstate(over="ignore", invalid="ignore"):
-        for spec, w, b in zip(net.layers, net.weights, net.biases):
-            h = a @ w  # the activation overwrites the pre-activation
-            h += b
-            if spec.activation == "relu":
-                np.maximum(h, 0.0, out=h)
-            elif spec.activation == "sigmoid":
-                _sigmoid(h)
-            mask = None
-            if rng is not None and spec.dropout_rate > 0.0:
-                mask = (rng.random(h.shape) >= spec.dropout_rate) / (1.0 - spec.dropout_rate)
-            caches.append(LayerCache(a, h, mask))
-            a = h if mask is None else h * mask
+    for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
+        h = np.matmul(a, w, out=None if ws is None else ws.h[i])  # the activation overwrites it
+        h += b
+        if spec.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif spec.activation == "sigmoid":
+            _sigmoid(h)
+        mask = None if rng is None else ws.masks[i]
+        caches.append(LayerCache(a, h, mask))
+        a = h if mask is None else np.multiply(h, mask, out=ws.a[i])
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite network output")
     return a, caches
@@ -223,66 +285,99 @@ def forward(
     """Run the network on a row-major batch.
 
     In training mode, inverted dropout is applied per layer at that layer's
-    rate, with masks drawn deterministically from dropout_seed. In eval
-    mode dropout is a no-op and dropout_seed is ignored.
+    rate, with masks drawn deterministically from dropout_seed, which
+    training mode requires. In eval mode dropout is a no-op and
+    dropout_seed is ignored.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     if X.shape[1] != net.in_dim:
         raise ValueError(f"X has {X.shape[1]} columns, network expects {net.in_dim}")
+    if training and dropout_seed is None:
+        raise ValueError("training mode needs an explicit dropout_seed")
     rng = np.random.default_rng(dropout_seed) if training else None
-    out, caches = _forward(net, X, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, caches = _forward(net, X, rng)
     return out, ForwardCache(tuple(caches), out)
+
+
+def _as_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    return pred, target
+
+
+def _check_bce_predictions(pred: np.ndarray) -> None:
+    if pred.min() < -1e-9 or pred.max() > 1.0 + 1e-9:
+        raise ValueError("bce predictions must lie in (0, 1)")
+
+
+def _check_bce_targets(target: np.ndarray) -> None:
+    if not np.all((target == 0.0) | (target == 1.0)):
+        raise ValueError("bce targets must be 0/1")
+
+
+def _mean(a: np.ndarray) -> float:
+    """np.mean(a) of a float64 array, bit for bit: its sum, then one
+    division by the count, without np.mean's Python layers."""
+    return float(np.add.reduce(a, axis=None) / a.size)
+
+
+def _loss_and_gradient(pred, target, kind: str, out=None) -> tuple[float, np.ndarray]:
+    """The loss and d(loss)/d(pred), written into `out` when given. The two
+    share pred - target (mse) or the clipped prediction p (bce)."""
+    if kind == "mse":
+        diff = np.subtract(pred, target, out=out)
+        loss = _mean(np.square(diff))
+        diff *= 2.0
+        diff /= pred.size
+        return loss, diff
+    if kind == "bce":
+        p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        loss = _mean(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
+        grad = np.subtract(p, target, out=out)
+        grad /= p * (1.0 - p)
+        grad /= pred.size
+        return loss, grad
+    raise ValueError(f"unknown loss {kind!r}")
 
 
 def compute_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
     """Mean squared error or mean binary cross-entropy over all entries."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if kind == "mse":
-        return float(np.mean((pred - target) ** 2))
+    pred, target = _as_pair(pred, target)
     if kind == "bce":
-        if pred.min() < -1e-9 or pred.max() > 1.0 + 1e-9:
-            raise ValueError("bce predictions must lie in (0, 1)")
-        if not np.all((target == 0.0) | (target == 1.0)):
-            raise ValueError("bce targets must be 0/1")
-        p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-        return float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log1p(-p))))
-    raise ValueError(f"unknown loss {kind!r}")
+        _check_bce_predictions(pred)
+        _check_bce_targets(target)
+    return _loss_and_gradient(pred, target, kind)[0]
 
 
 def loss_gradient(pred: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
     """d(loss)/d(pred), matching compute_loss entry for entry."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if kind == "mse":
-        return 2.0 * (pred - target) / pred.size
-    if kind == "bce":
-        p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-        return (p - target) / (p * (1.0 - p)) / pred.size
-    raise ValueError(f"unknown loss {kind!r}")
+    return _loss_and_gradient(*_as_pair(pred, target), kind)[1]
 
 
-def _backward(net: MlpNetwork, caches, dout: np.ndarray, grad_weights, grad_biases) -> None:
-    """Backpropagate dout through the cached pass into the gradient views."""
+def _backward(
+    net: MlpNetwork, caches, dout: np.ndarray, grad_weights, grad_biases, ws: _Workspace | None = None
+) -> None:
+    """Backpropagate dout through the cached pass into the gradient views,
+    writing into `ws` when given and into fresh arrays otherwise."""
     g = dout
     for i in range(len(net.layers) - 1, -1, -1):
         lc = caches[i]
+        buf = None if ws is None else ws.g[i]
         if lc.mask is not None:
-            g = g * lc.mask
-        if net.layers[i].activation == "relu":
-            g = g * (lc.h > 0.0).astype(np.float64)  # relu(z) > 0 exactly where z > 0
+            g = np.multiply(g, lc.mask, out=buf)
+        if net.layers[i].activation == "relu":  # relu(z) > 0 exactly where z > 0
+            g = np.multiply(g, np.greater(lc.h, 0.0, out=None if ws is None else ws.pos[i]), out=buf)
         elif net.layers[i].activation == "sigmoid":
-            g = g * (lc.h * (1.0 - lc.h))
+            g = np.multiply(g, lc.h * (1.0 - lc.h), out=buf)
         np.matmul(lc.x.T, g, out=grad_weights[i])
-        g.sum(axis=0, out=grad_biases[i])
+        np.add.reduce(g, axis=0, out=grad_biases[i])  # g.sum(axis=0), without its Python layers
         if i > 0:
-            g = g @ net.weights[i].T
+            g = np.matmul(g, net.weights[i].T, out=None if ws is None else ws.g[i - 1])
 
 
 def backward_from_output(net: MlpNetwork, cache: ForwardCache, dout: np.ndarray) -> Gradients:
@@ -310,21 +405,25 @@ def backward(net: MlpNetwork, cache: ForwardCache, target: np.ndarray, kind: str
     return backward_from_output(net, cache, loss_gradient(cache.output, target, kind))
 
 
-def _adam_step(params, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """One bias-corrected Adam step over flat buffers, in place. Each entry
-    gets p - lr * (m / c1) / (sqrt(v / c2) + eps), in that order."""
+def _adam_step(params, grad, m, v, t, lr, work, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """One bias-corrected Adam step over flat buffers, in place, with `work`
+    a (2, size) scratch buffer. Each entry gets
+    p - lr * (m / c1) / (sqrt(v / c2) + eps), in that order."""
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
+    step, tmp = work
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=tmp)
     v *= beta2
-    v += (1.0 - beta2) * (grad * grad)
-    step = m / c1
+    tmp = np.multiply(grad, grad, out=tmp)
+    tmp *= 1.0 - beta2
+    v += tmp
+    np.divide(m, c1, out=step)
     step *= lr
-    denom = v / c2
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step /= denom
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    step /= tmp
     params -= step
 
 
@@ -342,7 +441,7 @@ def adam_update(net: MlpNetwork, grads: Gradients, state: AdamState) -> tuple[Ml
         raise ValueError("non-finite gradient")
     net2 = net._over(net.params.copy())
     state2 = AdamState(state.m.copy(), state.v.copy(), state.t + 1, state.lr)
-    _adam_step(net2.params, grad, state2.m, state2.v, state2.t, state.lr)
+    _adam_step(net2.params, grad, state2.m, state2.v, state2.t, state.lr, np.empty((2, grad.size)))
     return net2, state2
 
 
@@ -366,12 +465,36 @@ IDENTITY_HEAD = Head(lambda outs, z: outs[0], lambda dpred, z: (dpred,))
 
 
 class _Trainee:
-    """A private copy of a network, trained in place, and its gradient and Adam buffers."""
+    """A network under training: `bind` gives it a private copy of the
+    network over its slice of the fit's flat buffers, with its gradient and
+    Adam moments beside it."""
 
     def __init__(self, net: MlpNetwork):
-        self.net = net._over(net.params.copy())
-        self.grad, self.m, self.v = (np.zeros_like(self.net.params) for _ in range(3))
-        self.grad_weights, self.grad_biases = _views(net.layers, self.grad)
+        self.initial = net
+
+    def bind(self, block: np.ndarray) -> None:
+        """Train in `block`, a zeroed (4, size) view: params, grad, m and v."""
+        block[0] = self.initial.params
+        self.net = self.initial._over(block[0])
+        self.grad, self.m, self.v = block[1:]
+        self.grad_weights, self.grad_biases = _views(self.net.layers, self.grad)
+
+
+class _Batch:
+    """A fit's buffers for batches of `rows` rows: one workspace per
+    network, the batch's y and z rows, and d(loss)/d(prediction)."""
+
+    def __init__(self, nets, y: np.ndarray, z: np.ndarray | None, rows: int):
+        self.workspaces = [_Workspace(net.layers, rows) for net in nets]
+        self.y = np.empty((rows, y.shape[1]))
+        self.z = None if z is None else np.empty((rows, *z.shape[1:]), z.dtype)
+        self.dpred = np.empty((rows, y.shape[1]))
+
+
+def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[idx] written into out. idx comes from a permutation of range(n), so
+    mode "clip" never clips; unlike "raise", it writes straight into out."""
+    return a.take(idx, axis=0, out=out, mode="clip")
 
 
 def train_nets(
@@ -382,9 +505,13 @@ def train_nets(
 
     One generator, seeded by cfg.shuffle_seed, shuffles the rows and draws
     one dropout seed per network and step, so identical inputs give
-    bit-identical results. A non-finite output, loss or gradient raises
-    TrainingDivergedError naming the epoch. Returns new networks, sharing
-    no memory with the given ones, and the per-epoch mean sample loss.
+    bit-identical results. The networks' parameters, gradients and Adam
+    moments are views of one flat buffer each, so a step ends in one
+    finiteness check and one Adam step over all of them. Each step writes
+    through preallocated buffers, one set per batch size the fit meets.
+    A non-finite output, loss or gradient raises TrainingDivergedError
+    naming the epoch. Returns new networks, sharing no memory with the
+    given ones, and the per-epoch mean sample loss.
     """
     inputs = [np.asarray(X, dtype=np.float64) for X in inputs]
     y = np.asarray(y, dtype=np.float64)
@@ -396,35 +523,55 @@ def train_nets(
     for net, X in zip(nets, inputs):
         if X.shape != (n, net.in_dim):
             raise ValueError(f"X has shape {X.shape}, expected ({n}, {net.in_dim})")
+    if cfg.loss == "bce":
+        _check_bce_targets(y)
+    z = None if z is None else np.asarray(z)
     trainees = [_Trainee(net) for net in nets]
+    sizes = [net.params.size for net in nets]
+    flat = np.zeros((4, sum(sizes)))
+    for tr, o, size in zip(trainees, np.cumsum([0, *sizes]), sizes):
+        tr.bind(flat[:, o : o + size])
+    params, grad, m, v = flat
+    adam_work = np.empty((2, flat.shape[1]))
+    batches: dict[int, _Batch] = {}
     rng = np.random.default_rng(cfg.shuffle_seed)
     t = 0
     history = []
-    for epoch in range(cfg.epochs):
-        epoch_loss = 0.0
-        for idx in minibatches(n, cfg.batch_size, rng):
-            try:  # one dropout seed per network, drawn in network order
-                passes = [
-                    _forward(tr.net, X[idx], np.random.default_rng(int(rng.integers(0, 2**63 - 1))))
-                    for tr, X in zip(trainees, inputs)
-                ]
-            except FloatingPointError as exc:
-                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
-            zb = None if z is None else z[idx]
-            pred = head.predict([out for out, _ in passes], zb)
-            loss = compute_loss(pred, y[idx], cfg.loss)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"epoch {epoch}: non-finite loss ({loss})")
-            douts = head.split(loss_gradient(pred, y[idx], cfg.loss), zb)
-            for tr, (_, caches), dout in zip(trainees, passes, douts):
-                _backward(tr.net, caches, dout, tr.grad_weights, tr.grad_biases)
-                if not np.isfinite(tr.grad).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            epoch_loss = 0.0
+            for idx in minibatches(n, cfg.batch_size, rng):
+                if len(idx) not in batches:
+                    batches[len(idx)] = _Batch(nets, y, z, len(idx))
+                b = batches[len(idx)]
+                try:  # one dropout seed per network, drawn in network order
+                    passes = [
+                        _forward(
+                            tr.net,
+                            _take(X, idx, ws.x),
+                            np.random.default_rng(int(rng.integers(0, 2**63 - 1))),
+                            ws,
+                        )
+                        for tr, X, ws in zip(trainees, inputs, b.workspaces)
+                    ]
+                except FloatingPointError as exc:
+                    raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
+                zb = None if z is None else _take(z, idx, b.z)
+                pred, yb = _as_pair(head.predict([out for out, _ in passes], zb), _take(y, idx, b.y))
+                if cfg.loss == "bce":
+                    _check_bce_predictions(pred)
+                loss, dpred = _loss_and_gradient(pred, yb, cfg.loss, out=b.dpred)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(f"epoch {epoch}: non-finite loss ({loss})")
+                douts = head.split(dpred, zb)
+                for tr, (_, caches), dout, ws in zip(trainees, passes, douts, b.workspaces):
+                    _backward(tr.net, caches, dout, tr.grad_weights, tr.grad_biases, ws)
+                if not np.isfinite(grad).all():
                     raise TrainingDivergedError(f"epoch {epoch}: non-finite gradient")
-            t += 1
-            for tr in trainees:
-                _adam_step(tr.net.params, tr.grad, tr.m, tr.v, t, cfg.lr)
-            epoch_loss += loss * len(idx)
-        history.append(epoch_loss / n)
+                t += 1
+                _adam_step(params, grad, m, v, t, cfg.lr, adam_work)
+                epoch_loss += loss * len(idx)
+            history.append(epoch_loss / n)
     return tuple(tr.net._over(tr.net.params.copy()) for tr in trainees), history
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import max_scaled_error, numerical_grads
 
-from deepcate import nn
+from deepcate import models, nn
 
 
 def small_net(seed=0, dropout=0.0, activations=("relu", "identity")):
@@ -120,6 +120,24 @@ class TestForward:
         net = small_net(activations=("identity", "identity"))
         with pytest.raises(FloatingPointError):
             nn.forward(net, np.array([[np.inf, 0.0, 0.0]]))
+
+    def test_training_mode_needs_a_dropout_seed(self):
+        # masks drawn from OS entropy would break determinism from seeds
+        with pytest.raises(ValueError, match="dropout_seed"):
+            nn.forward(small_net(dropout=0.5), np.zeros((2, 3)), training=True)
+
+
+class TestSigmoid:
+    def test_bit_equal_to_the_two_branch_formula(self):
+        z = np.array([0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0, np.inf, -np.inf, np.nan])
+        expected = z.copy()
+        pos = z >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        got = z.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            nn._sigmoid(got)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestInputSafety:
@@ -318,6 +336,62 @@ class TestTrain:
         for a, b in zip(trained.weights, expected.weights):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("case", ["sigmoid-bce", "bcf-head"])
+    def test_two_epochs_match_a_replay_through_the_public_steps(self, case):
+        # n % batch != 0, so each epoch ends on a short batch; dropout is on
+        data = np.random.default_rng(12)
+        n, cfg = 50, nn.TrainConfig(epochs=2, batch_size=16, lr=0.01, shuffle_seed=6)
+        X = data.normal(size=(n, 3))
+        if case == "sigmoid-bce":
+            specs = [
+                nn.LayerSpec(3, 8, "relu", 0.25), nn.LayerSpec(8, 5, "relu", 0.4), nn.LayerSpec(5, 1, "sigmoid")
+            ]
+            nets, inputs, head, z = [nn.init_network(specs, 1)], [X], nn.IDENTITY_HEAD, None
+            y = (data.random((n, 1)) < 0.5).astype(float)
+            cfg = dataclasses.replace(cfg, loss="bce")
+        else:
+            alpha = [nn.LayerSpec(4, 6, "relu", 0.25), nn.LayerSpec(6, 1, "identity")]
+            beta = [
+                nn.LayerSpec(3, 5, "relu", 0.25), nn.LayerSpec(5, 4, "relu", 0.25), nn.LayerSpec(4, 1, "identity")
+            ]
+            nets = [nn.init_network(alpha, 2), nn.init_network(beta, 3)]
+            inputs, head = [np.column_stack([X, data.random(n)]), X], models._BCF_HEAD
+            z = (data.random((n, 1)) < 0.5).astype(float)
+            y = X[:, :1] + z + data.normal(size=(n, 1))
+
+        trained, history = nn.train_nets(nets, inputs, y, cfg, head, z)
+
+        loop = np.random.default_rng(cfg.shuffle_seed)
+        states = [nn.init_adam(net, cfg.lr) for net in nets]
+        replayed = []
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for idx in nn.minibatches(n, cfg.batch_size, loop):
+                passes = [
+                    nn.forward(net, Xn[idx], training=True, dropout_seed=int(loop.integers(0, 2**63 - 1)))
+                    for net, Xn in zip(nets, inputs)
+                ]
+                zb = None if z is None else z[idx]
+                pred = head.predict([out for out, _ in passes], zb)
+                loss = nn.compute_loss(pred, y[idx], cfg.loss)
+                douts = head.split(nn.loss_gradient(pred, y[idx], cfg.loss), zb)
+                grads = [
+                    nn.backward_from_output(net, cache, d) for net, (_, cache), d in zip(nets, passes, douts)
+                ]
+                nets, states = zip(*(nn.adam_update(*args) for args in zip(nets, grads, states)))
+                total += loss * len(idx)
+            replayed.append(total / n)
+        assert history == replayed
+        for got, want in zip(trained, nets):
+            np.testing.assert_array_equal(got.params.view(np.uint64), want.params.view(np.uint64))
+
+    def test_bce_rejects_non_binary_target(self):
+        net = nn.init_network([nn.LayerSpec(3, 4, "relu"), nn.LayerSpec(4, 1, "sigmoid")], seed=0)
+        y = np.array([[0.0], [1.0], [0.5], [1.0]])
+        cfg = nn.TrainConfig(epochs=1, batch_size=2, loss="bce")
+        with pytest.raises(ValueError, match="^bce targets must be 0/1$"):
+            nn.train_nets([net], [np.zeros((4, 3))], y, cfg)
+
     def test_same_seeds_bit_identical_history(self, rng):
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=(50, 2))
@@ -365,6 +439,19 @@ class TestDropout:
         # inverted dropout entry: h * m where m in {0, 1/(1-p)}, var = h^2 p/(1-p)
         se = np.abs(h) * np.sqrt(rate / (1 - rate)) / np.sqrt(n_masks)
         assert np.all(np.abs(mc_mean - h) <= 3 * se + 1e-12)
+
+    @pytest.mark.parametrize("rates", [(0.25, 0.25), (0.25, 0.4)])
+    def test_masks_are_one_draw_per_layer_in_layer_order(self, rates):
+        specs = [
+            nn.LayerSpec(3, 6, "relu", rates[0]), nn.LayerSpec(6, 4, "relu", rates[1]), nn.LayerSpec(4, 1)
+        ]
+        net = nn.init_network(specs, seed=5)
+        _, cache = nn.forward(net, np.ones((7, 3)), training=True, dropout_seed=21)
+        draws = np.random.default_rng(21)
+        for spec, lc in zip(specs[:2], cache.layers):
+            expected = (draws.random((7, spec.out_dim)) >= spec.dropout_rate) / (1.0 - spec.dropout_rate)
+            np.testing.assert_array_equal(lc.mask, expected)
+        assert cache.layers[2].mask is None
 
     def test_dropout_disabled_at_eval(self):
         net = nn.init_network(
