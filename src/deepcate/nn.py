@@ -15,10 +15,21 @@ forward and backward passes write each layer's arrays into it. `forward`,
 `backward` and `adam_update` run the same layer loops and Adam step, on
 fresh arrays. A pass writes each layer's activation over its
 pre-activation buffer.
+
+A fit draws its random schedule ahead of its steps, a block of epochs at
+a time, in the order its one generator would draw it step by step: each
+epoch's shuffle, then one dropout seed per network and step. One
+vectorized pass turns the block's seeds into the words that
+`np.random.SeedSequence` would derive from them (`_seed_words`), so each
+step's dropout generator is a PCG64 built from its words, the stream that
+`np.random.default_rng(seed)` gives, without hashing the seed again. At
+the start of each epoch every input, y and z is gathered once into the
+shuffled order, and each step reads its rows as one contiguous slice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -30,6 +41,88 @@ LOSSES = ("mse", "bce")
 
 # Predictions are pulled this far inside (0, 1) before BCE takes logs.
 BCE_CLAMP = 1e-12
+
+# train_nets draws its shuffles and dropout seeds this many epochs at a time.
+_SCHEDULE_EPOCHS = 16
+
+# numpy.random.SeedSequence's hash: a 4-word pool, its multipliers and the
+# 16-bit xorshift (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiply) constant pairs of `count` successive hashes: the
+    multiplier advances on every hash, whatever the data."""
+    pairs = []
+    for _ in range(count):
+        advanced = init * mult & _MASK32
+        pairs.append((np.uint32(init), np.uint32(advanced)))
+        init = advanced
+    return pairs
+
+
+# a 4-word pool takes 4 entropy hashes and 12 cross-mixing hashes; 4 uint64
+# output words are 8 uint32 hashes
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 12)
+_OUTPUT_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = consts
+    value = np.bitwise_xor(value, xor)
+    value *= mult  # uint32 arrays wrap, as the C code does
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> _XSHIFT
+    return r
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """np.random.SeedSequence(s).generate_state(4, np.uint64) for each
+    seed s < 2**64 of a 1-D array, as the rows of an (n, 4) uint64 array.
+
+    A seed is two 32-bit entropy words, low first, zero-padded to the
+    pool; a seed below 2**32, one word to SeedSequence, hashes the same.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = [(seeds & np.uint64(_MASK32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros(seeds.shape, np.uint32)] * 2
+    consts = iter(_POOL_HASHES)
+    pool = [_hashmix(word, next(consts)) for word in entropy]
+    for src in range(4):  # mix every pool word into every other one
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    state = np.empty((seeds.size, 8), np.uint32)
+    for i, c in enumerate(_OUTPUT_HASHES):  # cycle through the pool
+        state[:, i] = _hashmix(pool[i % 4], c)
+    # pairs of 32-bit words, low first, whatever the host's byte order
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands a bit generator a precomputed
+    `_seed_words` row: the state SeedSequence would generate for PCG64.
+    Defined on first use, so importing this module imports no numpy.random."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 class TrainingDivergedError(RuntimeError):
@@ -205,18 +298,16 @@ def _sigmoid(z: np.ndarray) -> None:
 class _Workspace:
     """Buffers for one network's training step on a batch of `rows` rows.
 
-    `x` takes the batch's input rows. Per layer: `h` the activation,
-    `a` its dropped-out copy (dropout layers only), `g` the backward
-    gradient and `pos` the relu positivity (relu layers only). The dropout
-    uniforms and the masks are one flat buffer each over all dropout
-    layers, in layer order, with per-layer views.
+    Per layer: `h` the activation, `a` its dropped-out copy (dropout layers
+    only), `g` the backward gradient and `pos` the relu positivity (relu
+    layers only). The dropout uniforms and the masks are one flat buffer
+    each over all dropout layers, in layer order, with per-layer views.
     """
 
     def __init__(self, layers, rows: int):
         def per_layer(wanted, dtype=np.float64):
             return [np.empty((rows, s.out_dim), dtype) if wanted(s) else None for s in layers]
 
-        self.x = np.empty((rows, layers[0].in_dim))
         self.h = per_layer(lambda s: True)
         self.a = per_layer(lambda s: s.dropout_rate > 0.0)
         self.g = per_layer(lambda s: True)
@@ -259,13 +350,14 @@ def _forward(
     an eval pass allocates each layer's output. The caller sets
     np.errstate: overflow surfaces as a non-finite output.
     """
+    product = np.matmul if ws is None else np.dot  # see _backward
     if rng is not None:
         ws = ws or _Workspace(net.layers, X.shape[0])
         ws.draw_masks(rng)
     caches = []
     a = X
     for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-        h = np.matmul(a, w, out=None if ws is None else ws.h[i])  # the activation overwrites it
+        h = product(a, w, None if ws is None else ws.h[i])  # the activation overwrites it
         h += b
         if spec.activation == "relu":
             np.maximum(h, 0.0, out=h)
@@ -274,7 +366,7 @@ def _forward(
         mask = None if rng is None else ws.masks[i]
         caches.append(LayerCache(a, h, mask))
         a = h if mask is None else np.multiply(h, mask, out=ws.a[i])
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise FloatingPointError("non-finite network output")
     return a, caches
 
@@ -311,13 +403,23 @@ def _as_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_bce_predictions(pred: np.ndarray) -> None:
-    if pred.min() < -1e-9 or pred.max() > 1.0 + 1e-9:
+    if np.minimum.reduce(pred, axis=None) < -1e-9 or np.maximum.reduce(pred, axis=None) > 1.0 + 1e-9:
         raise ValueError("bce predictions must lie in (0, 1)")
 
 
 def _check_bce_targets(target: np.ndarray) -> None:
-    if not np.all((target == 0.0) | (target == 1.0)):
+    if not np.logical_and.reduce((target == 0.0) | (target == 1.0), axis=None):
         raise ValueError("bce targets must be 0/1")
+
+
+def _checked_pair(pred, target, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """pred and target as float64 arrays of one shape; under bce, predictions
+    in [0, 1] (to 1e-9) and 0/1 targets, as the bce formulas assume."""
+    pred, target = _as_pair(pred, target)
+    if kind == "bce":
+        _check_bce_predictions(pred)
+        _check_bce_targets(target)
+    return pred, target
 
 
 def _mean(a: np.ndarray) -> float:
@@ -335,9 +437,9 @@ def _loss_and_gradient(pred, target, kind: str, out=None) -> tuple[float, np.nda
         diff *= 2.0
         diff /= pred.size
         return loss, diff
-    if kind == "bce":
-        p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-        loss = _mean(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
+    if kind == "bce":  # targets are 0/1, so log p where 1 and log(1 - p) where 0
+        p = np.minimum(np.maximum(pred, BCE_CLAMP), 1.0 - BCE_CLAMP)
+        loss = -_mean(np.where(target == 1.0, np.log(p), np.log1p(-p)))
         grad = np.subtract(p, target, out=out)
         grad /= p * (1.0 - p)
         grad /= pred.size
@@ -347,23 +449,26 @@ def _loss_and_gradient(pred, target, kind: str, out=None) -> tuple[float, np.nda
 
 def compute_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
     """Mean squared error or mean binary cross-entropy over all entries."""
-    pred, target = _as_pair(pred, target)
-    if kind == "bce":
-        _check_bce_predictions(pred)
-        _check_bce_targets(target)
-    return _loss_and_gradient(pred, target, kind)[0]
+    return _loss_and_gradient(*_checked_pair(pred, target, kind), kind)[0]
 
 
 def loss_gradient(pred: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
-    """d(loss)/d(pred), matching compute_loss entry for entry."""
-    return _loss_and_gradient(*_as_pair(pred, target), kind)[1]
+    """d(loss)/d(pred), matching compute_loss entry for entry; it rejects
+    what compute_loss rejects."""
+    return _loss_and_gradient(*_checked_pair(pred, target, kind), kind)[1]
 
 
 def _backward(
     net: MlpNetwork, caches, dout: np.ndarray, grad_weights, grad_biases, ws: _Workspace | None = None
 ) -> None:
     """Backpropagate dout through the cached pass into the gradient views,
-    writing into `ws` when given and into fresh arrays otherwise."""
+    writing into `ws` when given and into fresh arrays otherwise.
+
+    A training step's operands are contiguous buffers of its fit, on which
+    np.dot gives np.matmul's bits with less dispatch. The public steps keep
+    np.matmul: on a strided input the two can differ in the last bits.
+    """
+    product = np.matmul if ws is None else np.dot
     g = dout
     for i in range(len(net.layers) - 1, -1, -1):
         lc = caches[i]
@@ -374,10 +479,10 @@ def _backward(
             g = np.multiply(g, np.greater(lc.h, 0.0, out=None if ws is None else ws.pos[i]), out=buf)
         elif net.layers[i].activation == "sigmoid":
             g = np.multiply(g, lc.h * (1.0 - lc.h), out=buf)
-        np.matmul(lc.x.T, g, out=grad_weights[i])
+        product(lc.x.T, g, grad_weights[i])
         np.add.reduce(g, axis=0, out=grad_biases[i])  # g.sum(axis=0), without its Python layers
         if i > 0:
-            g = np.matmul(g, net.weights[i].T, out=None if ws is None else ws.g[i - 1])
+            g = product(g, net.weights[i].T, None if ws is None else ws.g[i - 1])
 
 
 def backward_from_output(net: MlpNetwork, cache: ForwardCache, dout: np.ndarray) -> Gradients:
@@ -437,7 +542,7 @@ def adam_update(net: MlpNetwork, grads: Gradients, state: AdamState) -> tuple[Ml
     grad = _flatten(grads.weights, grads.biases)
     if grad.shape != net.params.shape:
         raise ValueError("gradients do not match the network")
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         raise ValueError("non-finite gradient")
     net2 = net._over(net.params.copy())
     state2 = AdamState(state.m.copy(), state.v.copy(), state.t + 1, state.lr)
@@ -482,19 +587,32 @@ class _Trainee:
 
 class _Batch:
     """A fit's buffers for batches of `rows` rows: one workspace per
-    network, the batch's y and z rows, and d(loss)/d(prediction)."""
+    network and d(loss)/d(prediction)."""
 
-    def __init__(self, nets, y: np.ndarray, z: np.ndarray | None, rows: int):
+    def __init__(self, nets, y: np.ndarray, rows: int):
         self.workspaces = [_Workspace(net.layers, rows) for net in nets]
-        self.y = np.empty((rows, y.shape[1]))
-        self.z = None if z is None else np.empty((rows, *z.shape[1:]), z.dtype)
         self.dpred = np.empty((rows, y.shape[1]))
 
 
-def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a[idx] written into out. idx comes from a permutation of range(n), so
-    mode "clip" never clips; unlike "raise", it writes straight into out."""
-    return a.take(idx, axis=0, out=out, mode="clip")
+def _schedule(n: int, batch_size: int, rng: np.random.Generator, networks: int, epochs: int):
+    """Yield each epoch's row order, (n,), and its steps' dropout seed words,
+    (steps, networks, 4), drawn from rng in the order a step-by-step loop
+    draws them: an epoch's shuffle (through `minibatches`), then one seed
+    per network and step. Epochs are drawn _SCHEDULE_EPOCHS at a time, so a
+    block's seeds hash in one pass and the buffers stay bounded."""
+    for start in range(0, epochs, _SCHEDULE_EPOCHS):
+        orders, seeds = [], []
+        for _ in range(min(_SCHEDULE_EPOCHS, epochs - start)):
+            batches = minibatches(n, batch_size, rng)
+            orders.append(np.concatenate(batches))
+            # one array draw gives the values of that many scalar draws
+            seeds.append(rng.integers(0, 2**63 - 1, size=len(batches) * networks))
+        yield from zip(orders, _seed_words(np.concatenate(seeds)).reshape(len(orders), -1, networks, 4))
+
+
+def _dropout_rng(words: np.ndarray) -> np.random.Generator:
+    """np.random.default_rng(seed), built from the seed's `_seed_words` row."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 def train_nets(
@@ -505,8 +623,12 @@ def train_nets(
 
     One generator, seeded by cfg.shuffle_seed, shuffles the rows and draws
     one dropout seed per network and step, so identical inputs give
-    bit-identical results. The networks' parameters, gradients and Adam
-    moments are views of one flat buffer each, so a step ends in one
+    bit-identical results. That schedule is drawn ahead, a block of epochs
+    at a time (`_schedule`), and each step's dropout generator is built
+    from the seed's precomputed SeedSequence words. Each epoch gathers
+    every input, y and z once into its shuffled order, and a step reads its
+    rows as one contiguous slice. The networks' parameters, gradients and
+    Adam moments are views of one flat buffer each, so a step ends in one
     finiteness check and one Adam step over all of them. Each step writes
     through preallocated buffers, one set per batch size the fit meets.
     A non-finite output, loss or gradient raises TrainingDivergedError
@@ -533,31 +655,36 @@ def train_nets(
         tr.bind(flat[:, o : o + size])
     params, grad, m, v = flat
     adam_work = np.empty((2, flat.shape[1]))
+    # every input, y and z, gathered into each epoch's shuffled order
+    Xs, yg = [np.empty(X.shape) for X in inputs], np.empty(y.shape)
+    zg = None if z is None else np.empty(z.shape, z.dtype)
+    sources = [*zip(inputs, Xs), (y, yg)] + ([] if z is None else [(z, zg)])
+    finite = np.empty(grad.shape, bool)
     batches: dict[int, _Batch] = {}
+    plan = []  # per step: its rows of the gathered arrays, its row count and its buffers
+    for lo in range(0, n, cfg.batch_size):
+        rows = min(cfg.batch_size, n - lo)
+        if rows not in batches:
+            batches[rows] = _Batch(nets, y, rows)
+        plan.append((slice(lo, lo + rows), rows, batches[rows]))
     rng = np.random.default_rng(cfg.shuffle_seed)
     t = 0
     history = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
+        for epoch, (order, words) in enumerate(_schedule(n, cfg.batch_size, rng, len(nets), cfg.epochs)):
+            for a, out in sources:  # order permutes range(n), so "clip" never clips
+                a.take(order, axis=0, out=out, mode="clip")  # unlike "raise", it does not buffer
             epoch_loss = 0.0
-            for idx in minibatches(n, cfg.batch_size, rng):
-                if len(idx) not in batches:
-                    batches[len(idx)] = _Batch(nets, y, z, len(idx))
-                b = batches[len(idx)]
-                try:  # one dropout seed per network, drawn in network order
+            for (rows, count, b), step_words in zip(plan, words):
+                try:  # one dropout generator per network, in network order
                     passes = [
-                        _forward(
-                            tr.net,
-                            _take(X, idx, ws.x),
-                            np.random.default_rng(int(rng.integers(0, 2**63 - 1))),
-                            ws,
-                        )
-                        for tr, X, ws in zip(trainees, inputs, b.workspaces)
+                        _forward(tr.net, X[rows], _dropout_rng(w), ws)
+                        for tr, X, w, ws in zip(trainees, Xs, step_words, b.workspaces)
                     ]
                 except FloatingPointError as exc:
                     raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
-                zb = None if z is None else _take(z, idx, b.z)
-                pred, yb = _as_pair(head.predict([out for out, _ in passes], zb), _take(y, idx, b.y))
+                zb = None if zg is None else zg[rows]
+                pred, yb = _as_pair(head.predict([out for out, _ in passes], zb), yg[rows])
                 if cfg.loss == "bce":
                     _check_bce_predictions(pred)
                 loss, dpred = _loss_and_gradient(pred, yb, cfg.loss, out=b.dpred)
@@ -566,11 +693,11 @@ def train_nets(
                 douts = head.split(dpred, zb)
                 for tr, (_, caches), dout, ws in zip(trainees, passes, douts, b.workspaces):
                     _backward(tr.net, caches, dout, tr.grad_weights, tr.grad_biases, ws)
-                if not np.isfinite(grad).all():
+                if not np.logical_and.reduce(np.isfinite(grad, out=finite), axis=None):
                     raise TrainingDivergedError(f"epoch {epoch}: non-finite gradient")
                 t += 1
                 _adam_step(params, grad, m, v, t, cfg.lr, adam_work)
-                epoch_loss += loss * len(idx)
+                epoch_loss += loss * count
             history.append(epoch_loss / n)
     return tuple(tr.net._over(tr.net.params.copy()) for tr in trainees), history
 

@@ -23,6 +23,18 @@ def test_package_and_cli_import_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_and_cli_import_no_numpy_random():
+    # numpy.random loads with the first fit or draw, not with the package,
+    # so a process that imports deepcate pays for it only when it uses it
+    src = str(Path(deepcate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, deepcate, deepcate.cli\nprint('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_csv_writer_only_in_metrics():
     # the table format lives behind metrics.write_csv
     callers = []

@@ -186,6 +186,28 @@ class TestLoss:
         )
         assert np.isfinite(loss)
 
+    @pytest.mark.parametrize(
+        "pred, target, message",
+        [
+            ([[1.5]], [[1.0]], "^bce predictions must lie in \\(0, 1\\)$"),
+            ([[-0.1]], [[0.0]], "^bce predictions must lie in \\(0, 1\\)$"),
+            ([[0.5]], [[0.3]], "^bce targets must be 0/1$"),
+        ],
+    )
+    def test_bce_gradient_rejects_what_the_loss_rejects(self, pred, target, message):
+        for fn in (nn.compute_loss, nn.loss_gradient):
+            with pytest.raises(ValueError, match=message):
+                fn(np.array(pred), np.array(target), "bce")
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])), min_size=1, max_size=40)
+    )
+    def test_bce_is_bit_equal_to_the_product_formula(self, pairs):
+        pred, target = (np.array(col).reshape(-1, 1) for col in zip(*pairs))
+        p = np.clip(pred, nn.BCE_CLAMP, 1.0 - nn.BCE_CLAMP)
+        expected = float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log1p(-p))))
+        assert nn.compute_loss(pred, target, "bce") == expected
+
     def test_constant_predictor_bce_minimized_at_target_mean(self):
         target = np.array([1.0] * 12 + [0.0] * 18).reshape(-1, 1)
         m = target.mean()
@@ -460,3 +482,100 @@ class TestDropout:
         X = np.ones((4, 3))
         out1, cache = nn.forward(net, X, training=False)
         assert all(lc.mask is None for lc in cache.layers)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
+
+
+def replay(nets, inputs, y, cfg, head, z):
+    """train_nets, step by step through the public forward, loss, backward
+    and Adam calls, drawing from one generator as the engine's schedule does."""
+    n = y.shape[0]
+    loop = np.random.default_rng(cfg.shuffle_seed)
+    states = [nn.init_adam(net, cfg.lr) for net in nets]
+    history = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for idx in nn.minibatches(n, cfg.batch_size, loop):
+            passes = [
+                nn.forward(net, Xn[idx], training=True, dropout_seed=int(loop.integers(0, 2**63 - 1)))
+                for net, Xn in zip(nets, inputs)
+            ]
+            zb = None if z is None else z[idx]
+            pred = head.predict([out for out, _ in passes], zb)
+            loss = nn.compute_loss(pred, y[idx], cfg.loss)
+            douts = head.split(nn.loss_gradient(pred, y[idx], cfg.loss), zb)
+            grads = [nn.backward_from_output(net, cache, d) for net, (_, cache), d in zip(nets, passes, douts)]
+            nets, states = zip(*(nn.adam_update(*args) for args in zip(nets, grads, states)))
+            total += loss * len(idx)
+        history.append(total / n)
+    return nets, history
+
+
+class TestSchedule:
+    """What train_nets' drawn-ahead dropout schedule rests on: numpy's
+    SeedSequence hash, its PCG64 seeding and its array integer draws. A
+    numpy release that changes any of them fails here."""
+
+    @staticmethod
+    def assert_words(seeds):
+        words = nn._seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for s, row in zip(seeds, words):
+            np.testing.assert_array_equal(row, np.random.SeedSequence(s).generate_state(4, np.uint64))
+
+    def test_seed_words_match_seed_sequence_on_edge_seeds(self):
+        self.assert_words(EDGE_SEEDS + list(range(2, 50)))
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=30))
+    def test_seed_words_match_seed_sequence(self, seeds):
+        self.assert_words(seeds)
+
+    def test_array_draw_equals_scalar_draws(self):
+        drawn = np.random.default_rng(3).integers(0, 2**63 - 1, size=500)
+        scalar = np.random.default_rng(3)
+        assert drawn.tolist() == [int(scalar.integers(0, 2**63 - 1)) for _ in range(500)]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + [123456789012345])
+    def test_generator_from_words_streams_as_default_rng(self, seed):
+        words = nn._seed_words(np.array([seed], dtype=np.uint64))[0]
+        got, want = nn._dropout_rng(words), np.random.default_rng(seed)
+        assert got.bit_generator.state == want.bit_generator.state
+        np.testing.assert_array_equal(got.random(1000), want.random(1000))
+        np.testing.assert_array_equal(got.integers(0, 2**63 - 1, size=10), want.integers(0, 2**63 - 1, size=10))
+
+    def test_schedule_draws_one_block_ahead(self, monkeypatch):
+        calls, minibatches = [], nn.minibatches
+        monkeypatch.setattr(nn, "minibatches", lambda *args: calls.append(1) or minibatches(*args))
+        epochs = nn._SCHEDULE_EPOCHS + 3
+        schedule = nn._schedule(10, 4, np.random.default_rng(0), 2, epochs)
+        order, words = next(schedule)
+        assert len(calls) == nn._SCHEDULE_EPOCHS
+        assert sorted(order) == list(range(10)) and words.shape == (3, 2, 4)
+        assert sum(1 for _ in schedule) == epochs - 1 and len(calls) == epochs
+
+    @pytest.mark.parametrize("case", ["sigmoid-bce", "bcf-head"])
+    def test_fit_over_several_schedule_blocks_matches_the_replay(self, case):
+        # n % batch != 0 and dropout is on; the epochs span three blocks
+        data = np.random.default_rng(13)
+        n = 20
+        cfg = nn.TrainConfig(epochs=2 * nn._SCHEDULE_EPOCHS + 3, batch_size=8, lr=0.01, shuffle_seed=7)
+        X = data.normal(size=(n, 3))
+        if case == "sigmoid-bce":
+            specs = [nn.LayerSpec(3, 6, "relu", 0.25), nn.LayerSpec(6, 4, "relu", 0.4), nn.LayerSpec(4, 1, "sigmoid")]
+            nets, inputs, head, z = [nn.init_network(specs, 4)], [X], nn.IDENTITY_HEAD, None
+            y = (data.random((n, 1)) < 0.5).astype(float)
+            cfg = dataclasses.replace(cfg, loss="bce")
+        else:
+            alpha = [nn.LayerSpec(4, 6, "relu", 0.25), nn.LayerSpec(6, 1, "identity")]
+            beta = [nn.LayerSpec(3, 5, "relu", 0.25), nn.LayerSpec(5, 1, "identity")]
+            nets = [nn.init_network(alpha, 5), nn.init_network(beta, 6)]
+            inputs, head = [np.column_stack([X, data.random(n)]), X], models._BCF_HEAD
+            z = (data.random((n, 1)) < 0.5).astype(float)
+            y = X[:, :1] + z + data.normal(size=(n, 1))
+
+        trained, history = nn.train_nets(nets, inputs, y, cfg, head, z)
+        replayed, replayed_history = replay(nets, inputs, y, cfg, head, z)
+        assert history == replayed_history
+        for got, want in zip(trained, replayed):
+            np.testing.assert_array_equal(got.params.view(np.uint64), want.params.view(np.uint64))
