@@ -2,7 +2,7 @@
 """Full small-treatment benchmark (100 trials per cell, all four methods).
 
 Equivalent to `deepcate simulate --config configs/table1_small.cfg`; with
-the config's 2 workers it took 5 min 23 s on a 2-vCPU host. Use --trials
+the config's 2 workers it took 4 min 51 s on a 2-vCPU host. Use --trials
 or --threads to scale down or up.
 """
 

@@ -16,15 +16,15 @@ forward and backward passes write each layer's arrays into it. `forward`,
 fresh arrays. A pass writes each layer's activation over its
 pre-activation buffer.
 
-A fit draws its random schedule ahead of its steps, a block of epochs at
-a time, in the order its one generator would draw it step by step: each
-epoch's shuffle, then one dropout seed per network and step. One
-vectorized pass turns the block's seeds into the words that
-`np.random.SeedSequence` would derive from them (`_seed_words`), so each
-step's dropout generator is a PCG64 built from its words, the stream that
-`np.random.default_rng(seed)` gives, without hashing the seed again. At
-the start of each epoch every input, y and z is gathered once into the
-shuffled order, and each step reads its rows as one contiguous slice.
+A fit draws each epoch's random schedule before its steps, in the order
+its one generator would draw it step by step: the epoch's shuffle, then
+one dropout seed per network and step. One vectorized pass turns the
+epoch's seeds into the words that `np.random.SeedSequence` would derive
+from them (`_seed_words`), so each step's dropout generator is a PCG64
+built from its words, the stream that `np.random.default_rng(seed)`
+gives, without hashing each seed on its own. The epoch then gathers every
+input, y and z once into the shuffled order, and each step reads its rows
+as one contiguous slice.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ LOSSES = ("mse", "bce")
 # Predictions are pulled this far inside (0, 1) before BCE takes logs.
 BCE_CLAMP = 1e-12
 
-# train_nets draws its shuffles and dropout seeds this many epochs at a time.
-_SCHEDULE_EPOCHS = 16
-
 # numpy.random.SeedSequence's hash: a 4-word pool, its multipliers and the
 # 16-bit xorshift (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -54,26 +51,27 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
-    """The (xor, multiply) constant pairs of `count` successive hashes: the
-    multiplier advances on every hash, whatever the data."""
-    pairs = []
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The xor and multiply constants of `count` successive hashes, as a
+    (2, count, 1) uint32 array: the multiplier advances on every hash,
+    whatever the data."""
+    xors, mults = [], []
     for _ in range(count):
-        advanced = init * mult & _MASK32
-        pairs.append((np.uint32(init), np.uint32(advanced)))
-        init = advanced
-    return pairs
+        xors.append(init)
+        init = init * mult & _MASK32
+        mults.append(init)
+    return np.array([xors, mults], np.uint32)[..., None]
 
 
-# a 4-word pool takes 4 entropy hashes and 12 cross-mixing hashes; 4 uint64
-# output words are 8 uint32 hashes
-_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 12)
+# a 4-word pool takes 4 entropy hashes, then 3 cross-mixing hashes from each
+# of its words; 4 uint64 output words are 8 uint32 hashes, cycling the pool
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 4 * 3)
 _OUTPUT_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
+_OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
 
 
-def _hashmix(value: np.ndarray, consts) -> np.ndarray:
-    xor, mult = consts
-    value = np.bitwise_xor(value, xor)
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
     value *= mult  # uint32 arrays wrap, as the C code does
     value ^= value >> _XSHIFT
     return value
@@ -92,21 +90,20 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
 
     A seed is two 32-bit entropy words, low first, zero-padded to the
     pool; a seed below 2**32, one word to SeedSequence, hashes the same.
+    The pool is a (4, n) array, so each hash runs on every seed at once.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    entropy = [(seeds & np.uint64(_MASK32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
-    entropy += [np.zeros(seeds.shape, np.uint32)] * 2
-    consts = iter(_POOL_HASHES)
-    pool = [_hashmix(word, next(consts)) for word in entropy]
-    for src in range(4):  # mix every pool word into every other one
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    state = np.empty((seeds.size, 8), np.uint32)
-    for i, c in enumerate(_OUTPUT_HASHES):  # cycle through the pool
-        state[:, i] = _hashmix(pool[i % 4], c)
+    entropy = np.zeros((4, seeds.size), np.uint32)
+    entropy[0] = seeds & np.uint64(_MASK32)
+    entropy[1] = seeds >> np.uint64(32)
+    xors, mults = _POOL_HASHES
+    pool = _hashmix(entropy, xors[:4], mults[:4])
+    for src, dst in enumerate(_OTHER_WORDS):  # mix each pool word into the other three
+        hashes = slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xors[hashes], mults[hashes]))
+    state = _hashmix(np.tile(pool, (2, 1)), *_OUTPUT_HASHES)
     # pairs of 32-bit words, low first, whatever the host's byte order
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.cache
@@ -120,6 +117,8 @@ def _seed_words_type() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for 4 uint64 words and reads them as one contiguous row
+            assert n_words == 4 and np.dtype(dtype) == np.uint64 and self.words.flags.c_contiguous
             return self.words
 
     return SeedWords
@@ -350,14 +349,13 @@ def _forward(
     an eval pass allocates each layer's output. The caller sets
     np.errstate: overflow surfaces as a non-finite output.
     """
-    product = np.matmul if ws is None else np.dot  # see _backward
     if rng is not None:
         ws = ws or _Workspace(net.layers, X.shape[0])
         ws.draw_masks(rng)
     caches = []
     a = X
     for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-        h = product(a, w, None if ws is None else ws.h[i])  # the activation overwrites it
+        h = np.matmul(a, w, out=None if ws is None else ws.h[i])  # the activation overwrites it
         h += b
         if spec.activation == "relu":
             np.maximum(h, 0.0, out=h)
@@ -366,7 +364,7 @@ def _forward(
         mask = None if rng is None else ws.masks[i]
         caches.append(LayerCache(a, h, mask))
         a = h if mask is None else np.multiply(h, mask, out=ws.a[i])
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+    if not np.isfinite(a).all():
         raise FloatingPointError("non-finite network output")
     return a, caches
 
@@ -403,12 +401,12 @@ def _as_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_bce_predictions(pred: np.ndarray) -> None:
-    if np.minimum.reduce(pred, axis=None) < -1e-9 or np.maximum.reduce(pred, axis=None) > 1.0 + 1e-9:
+    if pred.min() < -1e-9 or pred.max() > 1.0 + 1e-9:
         raise ValueError("bce predictions must lie in (0, 1)")
 
 
 def _check_bce_targets(target: np.ndarray) -> None:
-    if not np.logical_and.reduce((target == 0.0) | (target == 1.0), axis=None):
+    if not np.all((target == 0.0) | (target == 1.0)):
         raise ValueError("bce targets must be 0/1")
 
 
@@ -462,13 +460,7 @@ def _backward(
     net: MlpNetwork, caches, dout: np.ndarray, grad_weights, grad_biases, ws: _Workspace | None = None
 ) -> None:
     """Backpropagate dout through the cached pass into the gradient views,
-    writing into `ws` when given and into fresh arrays otherwise.
-
-    A training step's operands are contiguous buffers of its fit, on which
-    np.dot gives np.matmul's bits with less dispatch. The public steps keep
-    np.matmul: on a strided input the two can differ in the last bits.
-    """
-    product = np.matmul if ws is None else np.dot
+    writing into `ws` when given and into fresh arrays otherwise."""
     g = dout
     for i in range(len(net.layers) - 1, -1, -1):
         lc = caches[i]
@@ -479,10 +471,10 @@ def _backward(
             g = np.multiply(g, np.greater(lc.h, 0.0, out=None if ws is None else ws.pos[i]), out=buf)
         elif net.layers[i].activation == "sigmoid":
             g = np.multiply(g, lc.h * (1.0 - lc.h), out=buf)
-        product(lc.x.T, g, grad_weights[i])
+        np.matmul(lc.x.T, g, out=grad_weights[i])
         np.add.reduce(g, axis=0, out=grad_biases[i])  # g.sum(axis=0), without its Python layers
         if i > 0:
-            g = product(g, net.weights[i].T, None if ws is None else ws.g[i - 1])
+            g = np.matmul(g, net.weights[i].T, out=None if ws is None else ws.g[i - 1])
 
 
 def backward_from_output(net: MlpNetwork, cache: ForwardCache, dout: np.ndarray) -> Gradients:
@@ -542,7 +534,7 @@ def adam_update(net: MlpNetwork, grads: Gradients, state: AdamState) -> tuple[Ml
     grad = _flatten(grads.weights, grads.biases)
     if grad.shape != net.params.shape:
         raise ValueError("gradients do not match the network")
-    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
     net2 = net._over(net.params.copy())
     state2 = AdamState(state.m.copy(), state.v.copy(), state.t + 1, state.lr)
@@ -594,20 +586,15 @@ class _Batch:
         self.dpred = np.empty((rows, y.shape[1]))
 
 
-def _schedule(n: int, batch_size: int, rng: np.random.Generator, networks: int, epochs: int):
-    """Yield each epoch's row order, (n,), and its steps' dropout seed words,
-    (steps, networks, 4), drawn from rng in the order a step-by-step loop
-    draws them: an epoch's shuffle (through `minibatches`), then one seed
-    per network and step. Epochs are drawn _SCHEDULE_EPOCHS at a time, so a
-    block's seeds hash in one pass and the buffers stay bounded."""
-    for start in range(0, epochs, _SCHEDULE_EPOCHS):
-        orders, seeds = [], []
-        for _ in range(min(_SCHEDULE_EPOCHS, epochs - start)):
-            batches = minibatches(n, batch_size, rng)
-            orders.append(np.concatenate(batches))
-            # one array draw gives the values of that many scalar draws
-            seeds.append(rng.integers(0, 2**63 - 1, size=len(batches) * networks))
-        yield from zip(orders, _seed_words(np.concatenate(seeds)).reshape(len(orders), -1, networks, 4))
+def _epoch_schedule(n: int, batch_size: int, rng: np.random.Generator, networks: int):
+    """An epoch's index batches and its steps' dropout seed words, (steps,
+    networks, 4), drawn from rng in the order a step-by-step loop draws
+    them: the shuffle (through `minibatches`), then one seed per network
+    and step. The epoch's seeds hash in one pass."""
+    batches = minibatches(n, batch_size, rng)
+    # one array draw gives the values of that many scalar draws
+    seeds = rng.integers(0, 2**63 - 1, size=len(batches) * networks)
+    return batches, _seed_words(seeds).reshape(len(batches), networks, 4)
 
 
 def _dropout_rng(words: np.ndarray) -> np.random.Generator:
@@ -623,13 +610,13 @@ def train_nets(
 
     One generator, seeded by cfg.shuffle_seed, shuffles the rows and draws
     one dropout seed per network and step, so identical inputs give
-    bit-identical results. That schedule is drawn ahead, a block of epochs
-    at a time (`_schedule`), and each step's dropout generator is built
-    from the seed's precomputed SeedSequence words. Each epoch gathers
-    every input, y and z once into its shuffled order, and a step reads its
-    rows as one contiguous slice. The networks' parameters, gradients and
-    Adam moments are views of one flat buffer each, so a step ends in one
-    finiteness check and one Adam step over all of them. Each step writes
+    bit-identical results. Each epoch's schedule is drawn before its steps
+    (`_epoch_schedule`), and each step's dropout generator is built from
+    the seed's precomputed SeedSequence words. Each epoch gathers every
+    input, y and z once into its shuffled order, and a step reads its
+    batch's rows as one contiguous slice. The networks' parameters,
+    gradients and Adam moments are views of one flat buffer each, so a
+    step ends in one finiteness check and one Adam step over all of them. Each step writes
     through preallocated buffers, one set per batch size the fit meets.
     A non-finite output, loss or gradient raises TrainingDivergedError
     naming the epoch. Returns new networks, sharing no memory with the
@@ -659,23 +646,25 @@ def train_nets(
     Xs, yg = [np.empty(X.shape) for X in inputs], np.empty(y.shape)
     zg = None if z is None else np.empty(z.shape, z.dtype)
     sources = [*zip(inputs, Xs), (y, yg)] + ([] if z is None else [(z, zg)])
-    finite = np.empty(grad.shape, bool)
-    batches: dict[int, _Batch] = {}
-    plan = []  # per step: its rows of the gathered arrays, its row count and its buffers
-    for lo in range(0, n, cfg.batch_size):
-        rows = min(cfg.batch_size, n - lo)
-        if rows not in batches:
-            batches[rows] = _Batch(nets, y, rows)
-        plan.append((slice(lo, lo + rows), rows, batches[rows]))
+    buffers: dict[int, _Batch] = {}
     rng = np.random.default_rng(cfg.shuffle_seed)
     t = 0
     history = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, (order, words) in enumerate(_schedule(n, cfg.batch_size, rng, len(nets), cfg.epochs)):
-            for a, out in sources:  # order permutes range(n), so "clip" never clips
-                a.take(order, axis=0, out=out, mode="clip")  # unlike "raise", it does not buffer
+        for epoch in range(cfg.epochs):
+            batches, words = _epoch_schedule(n, cfg.batch_size, rng, len(nets))
+            order = np.concatenate(batches)  # a permutation of range(n), so "clip" never clips
+            for a, out in sources:  # unlike "raise", "clip" does not buffer
+                a.take(order, axis=0, out=out, mode="clip")
             epoch_loss = 0.0
-            for (rows, count, b), step_words in zip(plan, words):
+            end = 0
+            for idx, step_words in zip(batches, words):
+                count = len(idx)
+                rows = slice(end, end + count)  # the batch's rows of the gathered arrays
+                end += count
+                if count not in buffers:
+                    buffers[count] = _Batch(nets, y, count)
+                b = buffers[count]
                 try:  # one dropout generator per network, in network order
                     passes = [
                         _forward(tr.net, X[rows], _dropout_rng(w), ws)
@@ -693,7 +682,7 @@ def train_nets(
                 douts = head.split(dpred, zb)
                 for tr, (_, caches), dout, ws in zip(trainees, passes, douts, b.workspaces):
                     _backward(tr.net, caches, dout, tr.grad_weights, tr.grad_biases, ws)
-                if not np.logical_and.reduce(np.isfinite(grad, out=finite), axis=None):
+                if not np.isfinite(grad).all():
                     raise TrainingDivergedError(f"epoch {epoch}: non-finite gradient")
                 t += 1
                 _adam_step(params, grad, m, v, t, cfg.lr, adam_work)

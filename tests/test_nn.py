@@ -544,22 +544,12 @@ class TestSchedule:
         np.testing.assert_array_equal(got.random(1000), want.random(1000))
         np.testing.assert_array_equal(got.integers(0, 2**63 - 1, size=10), want.integers(0, 2**63 - 1, size=10))
 
-    def test_schedule_draws_one_block_ahead(self, monkeypatch):
-        calls, minibatches = [], nn.minibatches
-        monkeypatch.setattr(nn, "minibatches", lambda *args: calls.append(1) or minibatches(*args))
-        epochs = nn._SCHEDULE_EPOCHS + 3
-        schedule = nn._schedule(10, 4, np.random.default_rng(0), 2, epochs)
-        order, words = next(schedule)
-        assert len(calls) == nn._SCHEDULE_EPOCHS
-        assert sorted(order) == list(range(10)) and words.shape == (3, 2, 4)
-        assert sum(1 for _ in schedule) == epochs - 1 and len(calls) == epochs
-
     @pytest.mark.parametrize("case", ["sigmoid-bce", "bcf-head"])
-    def test_fit_over_several_schedule_blocks_matches_the_replay(self, case):
-        # n % batch != 0 and dropout is on; the epochs span three blocks
+    def test_fit_over_several_epoch_schedules_matches_the_replay(self, case):
+        # n % batch != 0 and dropout is on; each epoch draws its own schedule
         data = np.random.default_rng(13)
         n = 20
-        cfg = nn.TrainConfig(epochs=2 * nn._SCHEDULE_EPOCHS + 3, batch_size=8, lr=0.01, shuffle_seed=7)
+        cfg = nn.TrainConfig(epochs=5, batch_size=8, lr=0.01, shuffle_seed=7)
         X = data.normal(size=(n, 3))
         if case == "sigmoid-bce":
             specs = [nn.LayerSpec(3, 6, "relu", 0.25), nn.LayerSpec(6, 4, "relu", 0.4), nn.LayerSpec(4, 1, "sigmoid")]
