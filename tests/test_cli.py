@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,18 @@ class TestLoadDataset:
         path = tmp_path / "toy.csv"
         write_csv(path, ["a", "b", "z", "y"], [[1, 0, "yes", 1], ["oops", 1, "no", 2]])
         with pytest.raises(cli.DataError, match="line 3.*'a'"):
+            cli.load_dataset(path, toy_schema())
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "NAN", "Infinity"])
+    @pytest.mark.parametrize("column", ["a", "y"])
+    def test_non_finite_cell_reports_line_and_column(self, tmp_path, cell, column):
+        # float() parses these, and only "", NA, NaN and nan count as missing
+        row = {"a": 1, "b": 1, "z": "no", "y": 2, column: cell}
+        path = tmp_path / "toy.csv"
+        write_csv(path, ["a", "b", "z", "y"], [[1, 0, "yes", 1], list(row.values())])
+        role = "outcome" if column == "y" else "column"
+        message = f"line 3: {role} '{column}' has non-finite value '{cell}'"
+        with pytest.raises(cli.DataError, match=f"^{re.escape(message)}$"):
             cli.load_dataset(path, toy_schema())
 
     def test_line_numbers_count_physical_lines_after_a_multiline_cell(self, tmp_path):
@@ -446,6 +459,19 @@ class TestMainCli:
         assert cli.main(
             ["analyze", "--data", str(bad), "--schema", str(SCHEMA)]
         ) == 3
+
+    def test_non_finite_feature_exits_3_before_any_fit(self, tmp_path, capsys):
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[3] = "1e999"  # GPA, a numeric feature
+        lines[1] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["analyze", "--data", str(bad), "--schema", str(SCHEMA), "--out-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "line 2: column 'GPA' has non-finite value '1e999'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_results_exits_3(self, tmp_path):
         assert cli.main(

@@ -87,3 +87,34 @@ def test_harness_draws_nothing_from_a_generator():
         and node.func.attr in GENERATOR_DRAWS
     ]
     assert draws == []
+
+
+def test_argparse_only_in_cli():
+    # cli parses arguments; analysis, harness and the rest take settings
+    importers = []
+    for path in sorted(Path(deepcate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "argparse" for name in names):
+                importers.append(path.name)
+    assert importers == ["cli.py"]
+
+
+def test_package_imports_neither_cli_nor_analysis():
+    # a sweep process imports deepcate, and never compiles the entry point
+    # or the analysis pipeline it does not run
+    src = str(Path(deepcate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, deepcate\n"
+        "print(sorted(m for m in sys.modules if m in ('deepcate.cli', 'deepcate.analysis')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
