@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .harness import (
-    METHOD_CODES,
+    METHOD_TABLE,
     derive_seed,
     fit_method,
     fit_moderator_tree,
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 FEATURE_KINDS = ("numeric", "binary", "ordinal")
 
-ANALYZE_METHODS = ("shared", "bcf", "naive")
+ANALYZE_METHODS = tuple(name for name, m in METHOD_TABLE.items() if m.trains)
 
 
 class DataError(Exception):
@@ -163,8 +163,8 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
 
     Rows with missing values are rejected with their line numbers, and a
     feature or outcome cell that is not a finite number with its line and
-    column; the treatment column must produce both classes. Row order is
-    preserved.
+    column; so is a column of huge cells, whose mean or sd overflows. The
+    treatment column must produce both classes. Row order is preserved.
     """
     try:
         header, rows = read_table(path)
@@ -217,22 +217,31 @@ def load_dataset(path, schema: DatasetSchema) -> StandardizedDataset:
             f"treatment positive label {schema.treatment_positive!r} never occurs"
         )
 
-    center = X.mean(axis=0)
-    scale = X.std(axis=0, ddof=1)
-    tiny = (scale == 0.0) & (X.max(axis=0) > X.min(axis=0))  # variance underflowed: rescale first
-    peak = np.abs(X[:, tiny]).max(axis=0)
-    scale[tiny] = peak * (X[:, tiny] / peak).std(axis=0, ddof=1)
-    if np.any(scale == 0.0):
-        constant = [schema.feature_names[j] for j in np.where(scale == 0.0)[0]]
-        raise DataError(f"constant feature columns cannot be standardized: {constant}")
-    y_center = float(Y.mean())
-    y_scale = float(Y.std(ddof=1))
-    if y_scale == 0.0:
-        raise DataError("constant outcome column cannot be standardized")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        center = X.mean(axis=0)
+        scale = X.std(axis=0, ddof=1)
+        tiny = (scale == 0.0) & (X.max(axis=0) > X.min(axis=0))  # variance underflowed: rescale first
+        peak = np.abs(X[:, tiny]).max(axis=0)
+        scale[tiny] = peak * (X[:, tiny] / peak).std(axis=0, ddof=1)
+        if np.any(scale == 0.0):
+            constant = [schema.feature_names[j] for j in np.where(scale == 0.0)[0]]
+            raise DataError(f"constant feature columns cannot be standardized: {constant}")
+        y_center = float(Y.mean())
+        y_scale = float(Y.std(ddof=1))
+        if y_scale == 0.0:
+            raise DataError("constant outcome column cannot be standardized")
+        X_std = (X - center) / scale
+        Y_std = (Y - y_center) / y_scale
+    finite = np.isfinite(np.vstack([center, scale, X_std])).all(axis=0)
+    if not finite.all():
+        huge = [schema.feature_names[j] for j in np.where(~finite)[0]]
+        raise DataError(f"feature columns too large to standardize (mean or sd overflows): {huge}")
+    if not np.isfinite(np.r_[y_center, y_scale, Y_std]).all():
+        raise DataError(f"outcome {schema.outcome!r} too large to standardize (mean or sd overflows)")
     return StandardizedDataset(
-        X=(X - center) / scale,
+        X=X_std,
         Z=Z,
-        Y=(Y - y_center) / y_scale,
+        Y=Y_std,
         feature_names=schema.feature_names,
         feature_center=center,
         feature_scale=scale,
@@ -277,7 +286,7 @@ def run_sleep_analysis(data: StandardizedDataset, cfg: AnalyzeConfig) -> SleepAn
     pi_hat = propensity_hat(data.X, data.Z, cfg, derive_seed(cfg.seed, 99))
     models = {}
     for method in cfg.methods:
-        fit_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, METHOD_CODES[method]))
+        fit_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, METHOD_TABLE[method].code))
         models[method] = fit_method(method, data.X, data.Z, data.Y, fit_cfg, pi_hat)
 
     rows = []

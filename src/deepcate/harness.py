@@ -16,7 +16,7 @@ numpy.random.SeedSequence(entropy) over integer tuples,
     fixed-Z seed      (base_seed, n, 13)    # only when redraw_z=False
     trial seed        (base_seed, n, method_code, trial_index)
 
-with method codes shared=1, bcf=2, naive=3, ols=4.
+with each method's code from its row of METHOD_TABLE.
 
 Processes and threads: every process of a sweep runs OpenBLAS on one
 thread (its matrices are at most 10k x 100, too small to split); the
@@ -24,14 +24,14 @@ parent's previous thread count is restored when the sweep ends.
 
 Parallel sweeps (parallelism > 1): forked helper processes, no more than
 there are trials, each claim the next trial from a shared counter,
-longest first (bcf, then shared and naive, then ols), and send their
-outcomes back at the end. They inherit every size's design, eval sample
-and fixed Z from the parent. In an ols-only sweep the parent claims
-trials beside parallelism - 1 helpers; on a host whose cores slow down in
-turns, two processes share each slow spell where one would take it
-whole. Otherwise parallelism helpers run the trials and the parent only
-collects them. Outcomes are put back in grid order before aggregation,
-so the outputs do not depend on the process count.
+longest first (most networks fitted in a row, Method.fits, first), and
+send their outcomes back at the end. They inherit every size's design,
+eval sample and fixed Z from the parent. If no method trains a network,
+the parent claims trials beside parallelism - 1 helpers; on a host whose
+cores slow down in turns, two processes share each slow spell where one
+would take it whole. Otherwise parallelism helpers run the trials and
+the parent only collects them. Outcomes are put back in grid order
+before aggregation, so the outputs do not depend on the process count.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import math
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .metrics import (
     write_csv,
     write_results_csv,
 )
-from .models import (
+from .models import (  # fit_<method> is looked up by name in fit_method
     fit_bcf,
     fit_naive,
     fit_ols,
@@ -71,8 +72,27 @@ from .nn import TrainConfig
 
 log = logging.getLogger(__name__)
 
-METHODS = ("shared", "bcf", "naive", "ols")
-METHOD_CODES = {"shared": 1, "bcf": 2, "naive": 3, "ols": 4}
+
+class Method(NamedTuple):
+    code: int  # in the method's trial seeds
+    trains: bool = True  # fits a network: its fit takes a TrainConfig
+    pi_hat: bool = False  # fits the propensity network first, takes its estimate
+    both_arms: bool = False  # cannot be fitted on a single-class treatment draw
+
+    @property
+    def fits(self) -> int:  # networks fitted in a row in one trial
+        return self.trains + self.pi_hat
+
+
+# one row per estimator, fitted by this module's fit_<name>, in results order
+METHOD_TABLE = {
+    "shared": Method(1),
+    "bcf": Method(2, pi_hat=True, both_arms=True),
+    "naive": Method(3, both_arms=True),
+    "ols": Method(4, trains=False),
+}
+METHODS = tuple(METHOD_TABLE)
+METHOD_CODES = {name: m.code for name, m in METHOD_TABLE.items()}
 _DESIGN_STREAM = 11
 _EVAL_STREAM = 12
 _Z_STREAM = 13
@@ -210,23 +230,20 @@ class TrialFailedError(RuntimeError):
 
 
 def fit_method(method: str, X, Z, Y, cfg: TrainConfig, pi_hat=None):
-    """Fit one estimator; bcf takes the propensity estimate pi_hat.
+    """Fit one estimator: fit_<method>(X, Z, Y), plus pi_hat and cfg where
+    its row of METHOD_TABLE says so.
 
     The fits are looked up among this module's names at each call, never
     through a table of function objects, so a wrapped or replaced
     harness.fit_* is the one that runs.
     """
-    if method == "ols":
-        return fit_ols(X, Z, Y)
-    if method == "shared":
-        return fit_shared(X, Z, Y, cfg)
-    if method == "naive":
-        return fit_naive(X, Z, Y, cfg)
-    if method == "bcf":
-        if pi_hat is None:
-            raise ValueError("bcf needs pi_hat")
-        return fit_bcf(X, Z, Y, pi_hat, cfg)
-    raise ValueError(f"unknown method {method!r}")
+    spec = METHOD_TABLE.get(method)
+    if spec is None:
+        raise ValueError(f"unknown method {method!r}")
+    if spec.pi_hat and pi_hat is None:
+        raise ValueError(f"{method} needs pi_hat")
+    args = (X, Z, Y) + (pi_hat,) * spec.pi_hat + (cfg,) * spec.trains
+    return globals()[f"fit_{method}"](*args)
 
 
 def propensity_hat(X, Z, settings: TrainSettings, seed: int) -> np.ndarray:
@@ -255,14 +272,15 @@ def run_trial(
 
     trial_seed drives everything stochastic: the treatment draw (unless
     fixed_z is supplied), the outcome noise, network initialization,
-    dropout, and shuffling. Runtime covers the fit only (for bcf that
-    includes its propensity stage, seeded apart from its outcome fit).
-    For bcf and naive, a treatment draw of a single class raises
-    TrialFailedError, as neither can be fitted on it. The draws are
-    dgp's, each from its own generator. surfaces holds the design's true
-    surfaces; without it they are computed here (design_surfaces).
+    dropout, and shuffling. Runtime covers the fit only, with the
+    propensity stage of a pi_hat method (seeded apart from its outcome
+    fit). For a both_arms method (its METHOD_TABLE row), a treatment draw
+    of a single class raises TrialFailedError. The draws are dgp's, each
+    from its own generator. surfaces holds the design's true surfaces;
+    without it they are computed here (design_surfaces).
     """
     settings = settings or TrainSettings()
+    spec = METHOD_TABLE[method]
     z_seed, eps_seed, fit_seed = (
         derive_seed(trial_seed, 1),
         derive_seed(trial_seed, 2),
@@ -274,7 +292,7 @@ def run_trial(
         Z = np.asarray(fixed_z, dtype=np.float64)
     else:
         Z = dgp.draw_z(np.random.default_rng(z_seed), surfaces.pi)
-    if method in ("bcf", "naive") and Z.min() == Z.max():
+    if spec.both_arms and Z.min() == Z.max():
         # the propensity net and the per-arm nets need both arms
         raise TrialFailedError(f"{method}: single-class treatment draw (all {int(Z[0])})")
     Y, _sigma = dgp.draw_y(
@@ -282,7 +300,7 @@ def run_trial(
     )
     t0 = time.perf_counter()
     pi_hat = None
-    if method == "bcf":
+    if spec.pi_hat:
         pi_hat = propensity_hat(X_train, Z, settings, derive_seed(fit_seed, 1))
         fit_seed = derive_seed(fit_seed, 2)
     cfg = train_config(settings, X_train.shape[0], fit_seed)
@@ -394,10 +412,6 @@ def _one_blas_thread():
             set_threads(threads)
 
 
-# claim order: longest trials first (Graham's LPT rule), ties in grid order
-_DISPATCH_RANK = {"bcf": 0, "shared": 1, "naive": 1, "ols": 2}
-
-
 def _claim_tasks(
     cfg: ExperimentConfig, designs: dict[int, _Design], queue: list, next_task
 ) -> list[tuple]:
@@ -439,13 +453,14 @@ def _run_shared(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list)
     """Every task's outcome, in task order, from processes that each claim
     the next trial from a shared counter, longest trials first.
 
-    In an ols-only sweep the parent claims trials beside parallelism - 1
-    helpers: an ols trial is short, and the parent would otherwise idle.
-    Otherwise parallelism helpers run the trials and the parent only
-    collects them, as a network trial would raise the parent's own peak
-    memory. Never more helpers than trials. The parent reads whichever
-    helper answers first, so one that raises or dies aborts the sweep at
-    once; only a helper that dies in an ols-only sweep is seen after the
+    Longest first (Graham's LPT rule) is most Method.fits first, ties in
+    grid order. If no method trains a network, the parent claims trials
+    beside parallelism - 1 helpers, as it would otherwise idle. Otherwise
+    parallelism helpers run the trials and the parent only collects them,
+    as a network trial would raise the parent's own peak memory. Never
+    more helpers than trials. The parent reads whichever helper answers
+    first, so one that raises or dies aborts the sweep at once; only a
+    helper that dies in a sweep without a network is seen after the
     parent's own claims.
     """
     # imported here so that `import deepcate` does not pay for them
@@ -455,9 +470,9 @@ def _run_shared(cfg: ExperimentConfig, designs: dict[int, _Design], tasks: list)
     # forked, never spawned: helpers inherit the designs (and the module
     # as the parent has it) instead of importing and unpickling them
     ctx = multiprocessing.get_context("fork")
-    queue = sorted(enumerate(tasks), key=lambda item: _DISPATCH_RANK[item[1][1]])
+    queue = sorted(enumerate(tasks), key=lambda item: -METHOD_TABLE[item[1][1]].fits)
     next_task = ctx.Value("q", 0)
-    parent_claims = cfg.methods == ("ols",)
+    parent_claims = not any(METHOD_TABLE[m].trains for m in cfg.methods)
     helpers = {}
     for _ in range(min(cfg.parallelism, len(tasks)) - parent_claims):
         recv, send = ctx.Pipe(duplex=False)
@@ -519,8 +534,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultsTable:
 
     Every process of the sweep runs OpenBLAS on one thread. With
     parallelism > 1 the trials run in forked helper processes that claim
-    them from a shared counter (_run_shared); an ols-only sweep's parent
-    claims trials beside parallelism - 1 of them.
+    them from a shared counter (_run_shared); the parent of a sweep where
+    no method trains a network claims trials beside parallelism - 1 of them.
     """
     tasks = [
         (n, method, t, trial_seed(cfg.base_seed, n, method, t))

@@ -35,7 +35,7 @@ def ipw_ate(Y: np.ndarray, Z: np.ndarray, p: np.ndarray) -> float:
         raise ValueError("Y, Z, p must be aligned")
     if not np.all((Z == 0.0) | (Z == 1.0)):
         raise ValueError("Z must be binary")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # a NaN is not inside either
         raise ValueError("propensities must lie strictly inside (0, 1)")
     return float(np.mean(Y * Z / p - Y * (1.0 - Z) / (1.0 - p)))
 

@@ -189,7 +189,7 @@ def fit_bcf(X, Z, Y, pi_hat, cfg: TrainConfig) -> BcfModel:
     pi_hat = np.asarray(pi_hat, dtype=np.float64).ravel()
     if pi_hat.size != X.shape[0]:
         raise ValueError("X, Z, Y, pi_hat row counts differ")
-    if np.any(pi_hat <= 0.0) or np.any(pi_hat >= 1.0):
+    if not np.all((pi_hat > 0.0) & (pi_hat < 1.0)):  # a NaN is not inside either
         raise ValueError("pi_hat must lie strictly inside (0, 1)")
     a_seed, b_seed, loop_seed = _spawn_seeds(cfg.shuffle_seed, 3)
     d = X.shape[1]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deepcate import cli
@@ -209,6 +209,32 @@ class TestLoadDataset:
         write_csv(path, ["a", "b", "z", "y"], rows)
         data = cli.load_dataset(path, toy_schema())
         np.testing.assert_allclose(data.raw_features()[:, 0], values, rtol=1e-10, atol=1e-8)
+
+    finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+    @given(rows=st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=30))
+    @example(rows=[(1.7e308, 1.0), (1.5e308, 2.0)])  # the mean overflows
+    @example(rows=[(1e200, 1.0), (-1e200, 2.0)])  # the sd overflows
+    @example(rows=[(1.0, 1.7e308), (2.0, 1.5e308)])
+    @example(rows=[(1.0, 1e200), (2.0, -1e200)])
+    @settings(max_examples=50)
+    def test_loaded_data_is_finite_or_rejected_property(self, tmp_path_factory, rows):
+        # a column whose mean or sd overflows leaves a NaN, or an all-zero
+        # column with an infinite scale, unless it is rejected
+        tmp = tmp_path_factory.mktemp("finite")
+        path = tmp / "toy.csv"
+        write_csv(
+            path,
+            ["a", "b", "z", "y"],
+            [[a, i, "yes" if i % 2 else "no", y] for i, (a, y) in enumerate(rows)],
+        )
+        try:
+            data = cli.load_dataset(path, toy_schema())
+        except cli.DataError:
+            return
+        assert np.isfinite(data.X).all() and np.isfinite(data.Y).all()
+        assert np.isfinite(data.feature_center).all() and np.isfinite(data.feature_scale).all()
+        assert np.isfinite([data.outcome_center, data.outcome_scale]).all()
 
 
 def table_rows(methods=("shared", "bcf", "naive", "ols"), ns=(250, 500, 1000)):
@@ -471,6 +497,25 @@ class TestMainCli:
         argv = ["analyze", "--data", str(bad), "--schema", str(SCHEMA), "--out-dir", str(out)]
         assert cli.main(argv) == cli.EXIT_DATA
         assert "line 2: column 'GPA' has non-finite value '1e999'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["GPA", "PoorSleepQuality"])
+    def test_huge_column_exits_3_before_any_fit(self, tmp_path, capsys, column):
+        # every cell of the column 1e308, 1.7e308 or 1.5e308 in turn: finite,
+        # but the column's mean overflows
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        j = lines[0].split(",").index(column)
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[j] = ("1e308", "1.7e308", "1.5e308")[i % 3]
+            lines[i] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["analyze", "--data", str(bad), "--schema", str(SCHEMA), "--out-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "too large to standardize" in err and repr(column) in err
         assert not out.exists()
 
     def test_unreadable_results_exits_3(self, tmp_path):

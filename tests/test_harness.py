@@ -146,6 +146,25 @@ class TestRunTrial:
         assert a.mean_beta_hat != b.mean_beta_hat
 
 
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_fit_is_looked_up_among_the_harness_names(self, monkeypatch, method):
+        # a wrapped harness.fit_<method> must see the trial's fit, as a
+        # tracer or a test double would
+        calls = []
+        real = getattr(harness, f"fit_{method}")
+
+        def spy(X, *args):
+            calls.append(len(X))
+            return real(X, *args)
+
+        monkeypatch.setattr(harness, f"fit_{method}", spy)
+        X, u = dgp.gen_covariates(40, seed=1)
+        test = make_eval_sample(50, "small", seed=2)
+        settings = TrainSettings(epochs=1, batch_size=16)
+        run_trial(X, u, 3, method, "small", 1.0, test, settings=settings)
+        assert calls == [40]
+
+
 class TestExperimentConfig:
     def test_methods_normalized_to_canonical_order(self):
         cfg = tiny_cfg(methods=("ols", "shared", "ols"))

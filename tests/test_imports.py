@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import deepcate
+from deepcate import harness
 
 
 def test_package_and_cli_import_no_scipy():
@@ -118,3 +119,35 @@ def test_package_imports_neither_cli_nor_analysis():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def method_literals(path: Path, tables: tuple[str, ...]) -> list[str]:
+    """The string constants of path that equal a method's name, outside the
+    assignments to the names in tables."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in tables for t in node.targets)
+        for inner in ast.walk(node)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and node.value in harness.METHODS
+        and id(node) not in skipped
+    ]
+
+
+def test_method_names_only_in_the_method_table():
+    # what a method is lives in its row of harness.METHOD_TABLE (and the
+    # model-file kinds in models.MODEL_KINDS); only the analysis names
+    # bcf, the moderator tree's headline method
+    found = {}
+    for path in sorted(Path(deepcate.__file__).parent.glob("*.py")):
+        names = method_literals(path, ("METHOD_TABLE", "MODEL_KINDS"))
+        if names:
+            found[path.name] = names
+    assert found == {"analysis.py": ["bcf", "bcf"]}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from deepcate import dgp, models, nn
+from deepcate import dgp, metrics, models, nn
 from deepcate.metrics import pearson_corr
 
 
@@ -149,6 +149,25 @@ class TestFitBcf:
         m = fitted_models["bcf"]
         assert m.alpha_net.weights[0] is not m.beta_net.weights[0]
         assert m.alpha_net.weights[0].shape != m.beta_net.weights[0].shape
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda X, Z, Y, p: models.fit_bcf(X, Z, Y, p, quick_cfg(epochs=1)),
+        lambda X, Z, Y, p: metrics.ipw_ate(Y, Z, p),
+    ],
+    ids=["fit_bcf", "ipw_ate"],
+)
+def test_nan_propensity_is_not_strictly_inside(check, rng):
+    # NaN fails both p <= 0 and p >= 1, so the check must be p > 0 and p < 1
+    X = rng.normal(size=(20, 5))
+    Z = (np.arange(20) % 2).astype(float)
+    Y = rng.normal(size=20)
+    p = np.full(20, 0.5)
+    p[3] = np.nan
+    with pytest.raises(ValueError, match="strictly inside"):
+        check(X, Z, Y, p)
 
 
 class TestFitNaive:
