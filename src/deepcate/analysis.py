@@ -77,6 +77,17 @@ class DatasetSchema:
         return tuple(f.name for f in self.features)
 
 
+def _categories(feature: dict, path) -> tuple[str, ...]:
+    """A schema feature's categories, which must be a JSON list of strings."""
+    cats = feature["categories"]
+    if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
+        raise DataError(
+            f"malformed schema {path}: feature {feature['name']!r}: "
+            f"categories must be a list of strings, got {cats!r}"
+        )
+    return tuple(cats)
+
+
 def load_schema(path) -> DatasetSchema:
     """Read a JSON schema file (see configs/sleep_schema.json)."""
     try:
@@ -88,7 +99,7 @@ def load_schema(path) -> DatasetSchema:
             FeatureSpec(
                 name=f["name"],
                 kind=f.get("kind", "numeric"),
-                categories=tuple(f["categories"]) if "categories" in f else None,
+                categories=_categories(f, path) if "categories" in f else None,
             )
             for f in raw["features"]
         )
@@ -284,30 +295,18 @@ def run_sleep_analysis(data: StandardizedDataset, cfg: AnalyzeConfig) -> SleepAn
     else from the first fitted method.
     """
     pi_hat = propensity_hat(data.X, data.Z, cfg, derive_seed(cfg.seed, 99))
-    models = {}
+    rows, estimates = [], {}
     for method in cfg.methods:
         fit_cfg = train_config(cfg, data.n, derive_seed(cfg.seed, METHOD_TABLE[method].code))
-        models[method] = fit_method(method, data.X, data.Z, data.Y, fit_cfg, pi_hat)
+        model = fit_method(method, data.X, data.Z, data.Y, fit_cfg, pi_hat)
+        cate = predict_cate(model, data.X, pi_hat)
+        prog = predict_prognostic(model, data.X, pi_hat)
+        estimates[method] = cate, prog
+        rows.append(MethodSummary(method, float(cate.mean()), float(prog.mean())))
 
-    rows = []
-    cate_by_method = {}
-    for method in cfg.methods:
-        cate = predict_cate(models[method], data.X, pi_hat)
-        prog = predict_prognostic(models[method], data.X, pi_hat)
-        cate_by_method[method] = cate
-        rows.append(
-            MethodSummary(
-                method=method,
-                mean_cate=float(cate.mean()),
-                mean_prognostic=float(prog.mean()),
-            )
-        )
-
-    tree_method = "bcf" if "bcf" in models else cfg.methods[0]
-    tree = fit_moderator_tree(
-        data.X, cate_by_method[tree_method], cfg.tree_depth, cfg.tree_min_leaf
-    )
-    alpha_hat = predict_prognostic(models[tree_method], data.X, pi_hat)
+    tree_method = "bcf" if "bcf" in estimates else cfg.methods[0]
+    cate, alpha_hat = estimates[tree_method]
+    tree = fit_moderator_tree(data.X, cate, cfg.tree_depth, cfg.tree_min_leaf)
     interior = float(np.mean((pi_hat > 0.01) & (pi_hat < 0.99)))
     return SleepAnalysis(
         rows=tuple(rows),

@@ -13,9 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 
 Config files are flat UTF-8 key-value text (a leading byte-order mark is
 skipped): one `key = value` per line, `#` starts a comment, keys are the
-long flag names with underscores. Command-line flags override file
-values; the effective configuration is echoed to the output directory
-and can be fed back via --config.
+long flag names with underscores, each given at most once. Command-line
+flags override file values; the effective configuration is echoed to the
+output directory and can be fed back via --config.
 """
 
 from __future__ import annotations
@@ -264,7 +264,8 @@ _REQUIRED = {"simulate": (), "analyze": ("data", "schema"), "report": ("results"
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse the flat `key = value` grammar; returns raw string values."""
+    """Parse the flat `key = value` grammar; returns raw string values. A
+    key given twice is an error, not an override."""
     try:
         text = _read_utf8(path)
     except OSError as exc:
@@ -272,6 +273,7 @@ def read_config_file(path) -> dict[str, str]:
     except _NotUtf8 as exc:
         raise ConfigError(f"{path}:{exc.line}: {exc}") from None
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -279,7 +281,13 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected `key = value`")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{line_no}: duplicate key {key!r} (first on line {first_line[key]})"
+            )
+        first_line[key] = line_no
+        values[key] = value.strip()
     return values
 
 

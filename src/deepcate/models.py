@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import typing
 import warnings
 from dataclasses import dataclass
@@ -343,11 +344,17 @@ def _net_from_dict(d: dict, name: str) -> MlpNetwork:
     _require(d, ("rng_seed", "layers", "weights", "biases"), f"{name}.")
     try:
         specs = tuple(LayerSpec(**s) for s in d["layers"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model field {name}.layers: {exc}") from None
+    try:
+        rng_seed = operator.index(d["rng_seed"])
+    except TypeError:
+        raise ValueError(
+            f"model field {name}.rng_seed must be an integer, got {d['rng_seed']!r}"
+        ) from None
     weights = tuple(_finite(w, f"{name}.weights") for w in d["weights"])
     biases = tuple(_finite(b, f"{name}.biases") for b in d["biases"])
-    return MlpNetwork(specs, weights, biases, int(d["rng_seed"]))
+    return MlpNetwork(specs, weights, biases, rng_seed)
 
 
 # field type -> (encode, decode(value, field name))
@@ -382,8 +389,9 @@ def load_model(path):
 
     Raises ValueError for a file that is not a JSON object, an
     unsupported version, an unknown kind, a missing field, a layer spec
-    with unknown keys, a non-finite value, or weights that do not fit
-    their layers (OLS: delta and gamma of different lengths).
+    with unknown keys or non-integer dims, a non-integer rng_seed, a
+    non-finite value, or weights that do not fit their layers (OLS: delta
+    and gamma of different lengths).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -142,6 +143,12 @@ class LayerSpec:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
+        try:
+            operator.index(self.in_dim), operator.index(self.out_dim)
+        except TypeError:
+            raise ValueError(
+                f"layer dims must be integers, got {self.in_dim!r}x{self.out_dim!r}"
+            ) from None
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
         if self.activation not in ACTIVATIONS:
@@ -299,8 +306,10 @@ class _Workspace:
 
     Per layer: `h` the activation, `a` its dropped-out copy (dropout layers
     only), `g` the backward gradient and `pos` the relu positivity (relu
-    layers only). The dropout uniforms and the masks are one flat buffer
-    each over all dropout layers, in layer order, with per-layer views.
+    layers only). The dropout masks are one flat buffer over all dropout
+    layers, in layer order, with per-layer views; each step draws its
+    uniforms into it and thresholds and scales them in place against the
+    per-entry `rate` and `scale`, so layers of any rates take one path.
     """
 
     def __init__(self, layers, rows: int):
@@ -312,32 +321,24 @@ class _Workspace:
         self.g = per_layer(lambda s: True)
         self.pos = per_layer(lambda s: s.activation == "relu", bool)
         dropped = [s for s in layers if s.dropout_rate > 0.0]
-        size = rows * sum(s.out_dim for s in dropped)
-        self.u, self.mask = np.empty(size), np.empty(size)
-        self.masks, per_layer_groups, o = [], [], 0
+        # each mask entry's dropout rate and inverted-dropout scale
+        self.rate = np.repeat([s.dropout_rate for s in dropped], [rows * s.out_dim for s in dropped])
+        self.scale = 1.0 / (1.0 - self.rate)
+        self.mask = np.empty_like(self.rate)
+        self.masks, o = [], 0
         for s in layers:
             if s.dropout_rate == 0.0:
                 self.masks.append(None)
                 continue
-            end = o + rows * s.out_dim
-            u, mask = (buf[o:end].reshape(rows, s.out_dim) for buf in (self.u, self.mask))
-            per_layer_groups.append((s.dropout_rate, u, mask))
-            self.masks.append(mask)
-            o = end
-        # (rate, uniforms, mask) to threshold: all layers at once when they share a rate
-        if len({s.dropout_rate for s in dropped}) == 1:
-            self.groups = [(dropped[0].dropout_rate, self.u, self.mask)]
-        else:
-            self.groups = per_layer_groups
+            self.masks.append(self.mask[o : o + rows * s.out_dim].reshape(rows, s.out_dim))
+            o += rows * s.out_dim
 
     def draw_masks(self, rng) -> None:
         """Fill every layer's inverted-dropout mask from one draw of uniforms,
         the same stream as one draw per layer in layer order."""
-        if self.groups:
-            rng.random(out=self.u)
-        for rate, u, mask in self.groups:
-            np.greater_equal(u, rate, out=mask)  # 1.0 where kept, 0.0 where dropped
-            mask *= 1.0 / (1.0 - rate)  # the values of (u >= rate) / (1 - rate)
+        rng.random(out=self.mask)
+        np.greater_equal(self.mask, self.rate, out=self.mask)  # 1.0 where kept, 0.0 where dropped
+        self.mask *= self.scale  # the values of (uniform >= rate) / (1 - rate)
 
 
 def _forward(

@@ -823,3 +823,123 @@ class TestReportMalformedResults:
         assert cli.main(["report", "--results", str(path), "--out-dir", str(out)]) == cli.EXIT_DATA
         assert f"data error: cannot read results {path}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def toy_schema_json(features, positive="yes"):
+    return {"outcome": "y", "treatment": {"column": "z", "positive": positive},
+            "features": features}
+
+
+def toy_analyze_argv(tmp_path, schema, rows):
+    """analyze on a toy schema (outcome y, treatment z, then the features)
+    and CSV, writing to tmp_path/out."""
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    data = tmp_path / "data.csv"
+    write_csv(data, ["a", "z", "y"], rows)
+    return ["analyze", "--data", str(data), "--schema", str(tmp_path / "schema.json"),
+            "--out-dir", str(tmp_path / "out")]
+
+
+class TestDataErrorsExit3AndWriteNothing:
+    """Each way the schema or the data CSV can be unusable stops analyze
+    with exit 3 and a message that says why, before any output exists."""
+
+    TOY_ROWS = [[1, "yes", 1.0], [2, "no", 0.5], [3, "yes", 2.0], [4, "no", 0.0]]
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            (toy_schema_json([{"name": "a", "kind": "ordinal", "categories": "low"}]),
+             "feature 'a': categories must be a list of strings, got 'low'"),
+            (toy_schema_json([{"name": "a", "kind": "ordinal", "categories": ["low", 2]}]),
+             "feature 'a': categories must be a list of strings"),
+            (toy_schema_json([{"name": "a", "kind": "binary", "categories": ["no", "maybe", "yes"]}]),
+             "feature 'a': binary categories must list 2 labels"),
+            (toy_schema_json([]), "schema declares no feature columns"),
+            (toy_schema_json([{"kind": "numeric"}]), "malformed schema"),
+            ({"outcome": "y", "features": [{"name": "a"}]}, "malformed schema"),
+        ],
+        ids=["categories_string", "categories_not_strings", "binary_three_labels",
+             "no_features", "feature_without_name", "no_treatment"],
+    )
+    def test_bad_schema(self, tmp_path, capsys, schema, message):
+        assert cli.main(toy_analyze_argv(tmp_path, schema, self.TOY_ROWS)) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "feature, cell, message",
+        [
+            ({"name": "a", "kind": "ordinal", "categories": ["low", "hi"]}, "mid",
+             "line 3: column 'a' has unknown category 'mid'"),
+            ({"name": "a", "kind": "binary"}, "2", "line 3: column 'a' must be 0/1, got '2'"),
+        ],
+        ids=["unknown_category", "binary_not_01"],
+    )
+    def test_bad_feature_cell(self, tmp_path, capsys, feature, cell, message):
+        good = "low" if "categories" in feature else "0"
+        rows = [[good, "yes", 1.0], [cell, "no", 0.5], [good, "yes", 2.0]]
+        argv = toy_analyze_argv(tmp_path, toy_schema_json([feature]), rows)
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_data_rows(self, tmp_path, capsys):
+        argv = toy_analyze_argv(tmp_path, toy_schema_json([{"name": "a"}]), [])
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_positive_label_never_occurs(self, tmp_path, capsys):
+        schema = toy_schema_json([{"name": "a"}], positive="high")
+        argv = toy_analyze_argv(tmp_path, schema, self.TOY_ROWS)
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "treatment positive label 'high' never occurs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestConfigErrorsExit2AndWriteNothing:
+    """A bad value or a bad config file stops any mode with exit 2 and a
+    message that says why, before any output exists."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--redraw-z", "maybe"], "expected a boolean, got 'maybe'"),
+            (["--n", "250,x"], "expected comma-separated integers, got '250,x'"),
+        ],
+        ids=["bad_boolean", "bad_int_list"],
+    )
+    def test_bad_flag_value(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "out"
+        assert cli.main(SMALL_SIMULATE + extra + ["--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mode = simulate\nepochs = 250\nepochs = 25\n",
+             ":3: duplicate key 'epochs' (first on line 2)"),
+            ("mode = simulate\n# comment\nn = 30\n\nn=30\n",
+             ":5: duplicate key 'n' (first on line 3)"),
+            ("mode = simulate\ntrials 3\n", ":2: expected `key = value`"),
+        ],
+        ids=["duplicate_key", "duplicate_key_same_value", "line_without_equals"],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = SMALL_SIMULATE + ["--config", str(path), "--out-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"config error: {path}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(path), "--out-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+        assert not out.exists()

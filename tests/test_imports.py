@@ -151,3 +151,34 @@ def test_method_names_only_in_the_method_table():
         if names:
             found[path.name] = names
     assert found == {"analysis.py": ["bcf", "bcf"]}
+
+
+SUBMODULES = ("dgp", "harness", "metrics", "models", "nn")
+
+
+def test_package_init_binds_only_submodules_and_version():
+    # every name is reached through the module that defines it, so the
+    # package holds no second copy of the API
+    tree = ast.parse(Path(deepcate.__file__).read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body[1:]:  # after the docstring
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [ast.unparse(target) for target in node.targets]
+        else:
+            bound.append(ast.unparse(node))
+    assert sorted(bound) == sorted((*SUBMODULES, "__version__"))
+
+
+def test_package_import_loads_exactly_its_five_submodules():
+    # the whole program a sweep needs loads with the package, so a process
+    # that imports deepcate before it starts work has paid for it; the
+    # entry point and the analysis pipeline stay out
+    src = str(Path(deepcate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, deepcate\nprint(sorted(m for m in sys.modules if m.startswith('deepcate.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == str(sorted(f"deepcate.{name}" for name in SUBMODULES))

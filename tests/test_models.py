@@ -493,6 +493,21 @@ class TestLoadModelValidation:
         with pytest.raises(ValueError, match="JSON object"):
             self._load(payload, tmp_path / "m.json")
 
+    @pytest.mark.parametrize("key", ["in_dim", "out_dim"])
+    def test_float_layer_dim_rejected(self, key, fitted_models, tmp_path):
+        # 2.0 == 2 passes the shape check, so it must be caught at the spec
+        payload = self._dump(fitted_models["shared"], tmp_path / "m.json")
+        payload["net"]["layers"][0][key] = float(payload["net"]["layers"][0][key])
+        with pytest.raises(ValueError, match=r"net\.layers: layer dims must be integers"):
+            self._load(payload, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("seed", [7.0, 7.5, "7", None])
+    def test_non_integer_rng_seed_rejected(self, seed, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["bcf"], tmp_path / "m.json")
+        payload["beta_net"]["rng_seed"] = seed
+        with pytest.raises(ValueError, match=r"beta_net\.rng_seed must be an integer"):
+            self._load(payload, tmp_path / "m.json")
+
     def test_unknown_type_not_saved(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize"):
             models.save_model(object(), tmp_path / "m.json")

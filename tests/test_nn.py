@@ -39,6 +39,14 @@ class TestLayerSpec:
         with pytest.raises(ValueError):
             nn.LayerSpec(2, 3, "relu", 1.0)
 
+    @pytest.mark.parametrize("dims", [(2.0, 3), (2, 3.5), ("2", 3)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ValueError, match="layer dims must be integers"):
+            nn.LayerSpec(*dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        assert nn.LayerSpec(np.int64(2), np.int32(3)) == nn.LayerSpec(2, 3)
+
 
 class TestInit:
     def test_shared_architecture_has_3280_params(self):
