@@ -3,7 +3,7 @@
 
     python scripts/ab.py PATH_A PATH_B [--fit bcf] [--n 1000] [--pairs 20] [--seed 42]
 
---fit is one estimator's fit (bcf, naive, propensity, shared), or
+--fit is one estimator's fit (bcf, naive, ols, propensity, shared), or
 bcf_trial: the propensity fit, its estimate on X, and bcf on that
 estimate, which is what a bcf trial of a sweep fits.
 
@@ -14,7 +14,8 @@ the numpy build and the machine state of the moment. The fits run in
 pairs, with the side that goes first alternating (A B, B A, A B, ...), on
 the program's default training settings and one data draw made by side A's
 `dgp` (the small regime; bcf gets the true propensity as pi_hat). Every
-pair's two fitted models must be bit-equal, or the script stops.
+pair's two fitted models must be bit-equal, field by field, or the script
+stops.
 
 It prints each side's median fit time and, over the pairs, the median
 ratio B/A, its quartiles, a 95% percentile bootstrap interval of the
@@ -28,6 +29,7 @@ import importlib.util
 import os
 import random
 import statistics
+import struct
 import sys
 import time
 from pathlib import Path
@@ -48,6 +50,7 @@ FITS = {
     "bcf_trial": bcf_trial,
     "shared": lambda m, d, cfg: (m.models.fit_shared(d["X"], d["Z"], d["Y"], cfg),),
     "naive": lambda m, d, cfg: (m.models.fit_naive(d["X"], d["Z"], d["Y"], cfg),),
+    "ols": lambda m, d, cfg: (m.models.fit_ols(d["X"], d["Z"], d["Y"]),),
 }
 BOOTSTRAP_DRAWS, BOOTSTRAP_SEED = 10_000, 0
 
@@ -66,15 +69,29 @@ def load(checkout: Path, name: str):
     return module
 
 
-def weights(models) -> list[bytes]:
-    """The bytes of every network's flat parameter buffer in fitted models."""
-    return [v.params.tobytes() for model in models for v in vars(model).values() if hasattr(v, "params")]
+def field_bytes(value) -> bytes:
+    """A fitted field's bytes: a network's layers, seed and flat parameter
+    buffer, an array's dtype, shape and data, or a float's IEEE bits."""
+    if hasattr(value, "params"):
+        return repr((value.layers, value.rng_seed)).encode() + value.params.tobytes()
+    if hasattr(value, "tobytes"):
+        return repr((value.dtype.str, value.shape)).encode() + value.tobytes()
+    return struct.pack("<d", value)
+
+
+def fitted(models) -> list[tuple[str, str, bytes]]:
+    """Every field of fitted models, as (model class, field name, bytes)."""
+    return [
+        (type(model).__name__, name, field_bytes(value))
+        for model in models
+        for name, value in vars(model).items()
+    ]
 
 
 def timed_fit(fit, module, data, cfg):
     start = time.perf_counter()
     models = FITS[fit](module, data, cfg)
-    return time.perf_counter() - start, weights(models)
+    return time.perf_counter() - start, fitted(models)
 
 
 def bootstrap_interval(ratios: list[float]) -> tuple[float, float]:
@@ -119,7 +136,7 @@ def main(argv=None) -> int:
             elapsed, out[k] = timed_fit(args.fit, sides[k], data, cfg[k])
             times[k].append(elapsed)
         if out["a"] != out["b"]:
-            raise SystemExit(f"pair {i}: the two sides fitted different weights")
+            raise SystemExit(f"pair {i}: the two sides fitted different models")
         a, b = times["a"][-1], times["b"][-1]
         print(f"pair {i:2d} ({''.join(order).upper()}): A {a:.3f} s  B {b:.3f} s", flush=True)
 

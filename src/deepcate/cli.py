@@ -72,7 +72,6 @@ class AnalyzeConfig(TrainSettings):
 
     data: str
     schema: str
-    out_dir: str = "out"
     seed: int = 0
     propensity_epochs: int = 100
     methods: tuple[str, ...] = ANALYZE_METHODS
@@ -159,16 +158,7 @@ class RunConfig:
     report_formats: tuple[str, ...] = REPORT_FORMATS
 
     def __post_init__(self):
-        if self.mode not in ("simulate", "analyze", "report"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         check_report_formats(self.report_formats)
-        wanted = {
-            "simulate": self.experiment is not None,
-            "analyze": self.analyze is not None,
-            "report": self.results_path is not None,
-        }
-        if not wanted[self.mode]:
-            raise ConfigError(f"mode {self.mode!r} is missing its settings")
 
 
 def _parse_bool(text: str) -> bool:
@@ -204,13 +194,13 @@ def _typed(parser):
 
 
 class _Key:
-    """One config key: its parser, the RunConfig attribute paths its value
-    sets (the first is echoed), and a default for when the dataclass that
+    """One config key: its parser, the RunConfig attribute path its value
+    sets and its echo reads, and a default for when the dataclass that
     holds it has none."""
 
-    def __init__(self, parse, *targets: str, default=None):
+    def __init__(self, parse, target: str, default=None):
         self.parse = parse
-        self.targets = targets
+        self.target = target
         self.default = default
 
 
@@ -244,7 +234,7 @@ _KEYS = {
         "methods": _Key(_parse_str_list, "analyze.methods"),
         "tree_depth": _Key(_typed(int), "analyze.tree_depth"),
         "tree_min_leaf": _Key(_typed(int), "analyze.tree_min_leaf"),
-        "out_dir": _Key(str, "out_dir", "analyze.out_dir", default="out"),
+        "out_dir": _Key(str, "out_dir", default="out"),
     },
     "report": {
         "results": _Key(str, "results_path"),
@@ -334,11 +324,10 @@ def parse_config(argv) -> RunConfig:
     # unset values are left out, so each dataclass applies its own default
     kwargs = {"": {"mode": mode}}
     for key, value in values.items():
-        for target in keys[key].targets:
-            section, _, attr = target.rpartition(".")
-            fields = kwargs.setdefault(section, {})
-            if value is not None:
-                fields[attr] = value
+        section, _, attr = keys[key].target.rpartition(".")
+        fields = kwargs.setdefault(section, {})
+        if value is not None:
+            fields[attr] = value
     try:
         for section, cls in _SECTIONS.items():
             if section in kwargs:
@@ -354,7 +343,7 @@ def effective_config_text(cfg: RunConfig) -> str:
     (a file that parses back to exactly this configuration)."""
     lines = [f"mode = {cfg.mode}"]
     for key, spec in _KEYS[cfg.mode].items():
-        value = operator.attrgetter(spec.targets[0])(cfg)
+        value = operator.attrgetter(spec.target)(cfg)
         if value is None:
             continue
         if isinstance(value, bool):

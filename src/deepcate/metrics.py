@@ -90,13 +90,12 @@ class TrialMetrics:
 
 @dataclass(frozen=True)
 class EvalTruth:
-    """The true surfaces of one evaluation sample, with the moments every
-    trial scored on it needs: the true ATE, the mean of alpha, and the
+    """The true effect surface of one evaluation sample, with the moments
+    every trial scored on it needs: the true ATE, the mean of alpha, and the
     centred beta_true with its sum of squares (for the correlation).
     Build it with eval_truth, once per sample."""
 
     beta_true: np.ndarray
-    alpha_true: np.ndarray
     true_ate: float
     true_mean_alpha: float
     beta_centred: np.ndarray
@@ -113,7 +112,6 @@ def eval_truth(beta_true: np.ndarray, alpha_true: np.ndarray) -> EvalTruth:
     bc = beta_true - ate
     return EvalTruth(
         beta_true=beta_true,
-        alpha_true=alpha_true,
         true_ate=float(ate),
         true_mean_alpha=float(alpha_true.mean()),
         beta_centred=bc,

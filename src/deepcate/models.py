@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 import typing
 import warnings
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .nn import (
     TrainConfig,
     forward,
     init_network,
+    is_integer,
     train,
     train_nets,
 )
@@ -346,15 +346,14 @@ def _net_from_dict(d: dict, name: str) -> MlpNetwork:
         specs = tuple(LayerSpec(**s) for s in d["layers"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model field {name}.layers: {exc}") from None
-    try:
-        rng_seed = operator.index(d["rng_seed"])
-    except TypeError:
-        raise ValueError(
-            f"model field {name}.rng_seed must be an integer, got {d['rng_seed']!r}"
-        ) from None
+    if not is_integer(d["rng_seed"]):
+        raise ValueError(f"model field {name}.rng_seed must be an integer, got {d['rng_seed']!r}")
     weights = tuple(_finite(w, f"{name}.weights") for w in d["weights"])
     biases = tuple(_finite(b, f"{name}.biases") for b in d["biases"])
-    return MlpNetwork(specs, weights, biases, rng_seed)
+    try:
+        return MlpNetwork(specs, weights, biases, d["rng_seed"])
+    except ValueError as exc:
+        raise ValueError(f"model field {name}: {exc}") from None
 
 
 # field type -> (encode, decode(value, field name))
@@ -389,9 +388,10 @@ def load_model(path):
 
     Raises ValueError for a file that is not a JSON object, an
     unsupported version, an unknown kind, a missing field, a layer spec
-    with unknown keys or non-integer dims, a non-integer rng_seed, a
-    non-finite value, or weights that do not fit their layers (OLS: delta
-    and gamma of different lengths).
+    with unknown keys or non-integer dims, a non-integer rng_seed (a
+    boolean is none), a non-finite value, an empty layer list, layers
+    whose dims do not chain, or weights that do not fit their layers
+    (OLS: delta and gamma of different lengths).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)

@@ -129,6 +129,18 @@ class TrainingDivergedError(RuntimeError):
     """Training produced a non-finite network output, loss or gradient."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool: Python
+    counts True as 1, but a JSON true is no layer width or seed."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One dense layer: an affine map, an activation, and a dropout rate.
@@ -143,12 +155,8 @@ class LayerSpec:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        try:
-            operator.index(self.in_dim), operator.index(self.out_dim)
-        except TypeError:
-            raise ValueError(
-                f"layer dims must be integers, got {self.in_dim!r}x{self.out_dim!r}"
-            ) from None
+        if not (is_integer(self.in_dim) and is_integer(self.out_dim)):
+            raise ValueError(f"layer dims must be integers, got {self.in_dim!r}x{self.out_dim!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
         if self.activation not in ACTIVATIONS:
@@ -178,9 +186,9 @@ def _views(layers, buf: np.ndarray) -> tuple[tuple, tuple]:
 class MlpNetwork:
     """A stack of LayerSpecs with their weight matrices and bias vectors.
 
-    The constructor copies these into one new flat buffer, `params`, and
-    keeps views of it. Treat instances as immutable; updates return new
-    networks.
+    The constructor checks that the layers chain and the arrays fit them,
+    then copies the arrays into one flat buffer, `params`, and keeps views
+    of it. Treat instances as immutable; updates return new networks.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -190,6 +198,11 @@ class MlpNetwork:
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("need at least one layer")
+        for prev, nxt in zip(self.layers, self.layers[1:]):
+            if prev.out_dim != nxt.in_dim:
+                raise ValueError(f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
         shapes = [np.shape(a) for a in (*self.weights, *self.biases)]
         if shapes != [(s.in_dim, s.out_dim) for s in self.layers] + [(s.out_dim,) for s in self.layers]:
             raise ValueError(f"weight and bias shapes {shapes} do not match the layers")
@@ -261,8 +274,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be > 0 and finite, got {self.lr}")
 
 
 def init_network(specs, seed: int) -> MlpNetwork:
@@ -273,11 +286,6 @@ def init_network(specs, seed: int) -> MlpNetwork:
     always yields bit-identical weights.
     """
     specs = tuple(specs)
-    if not specs:
-        raise ValueError("need at least one layer")
-    for prev, nxt in zip(specs, specs[1:]):
-        if prev.out_dim != nxt.in_dim:
-            raise ValueError(f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for spec in specs:

@@ -337,7 +337,6 @@ def test_c10_sleep_pipeline_properties(tmp_path):
     data = cli.load_dataset(fixture, schema)
     cfg = cli.AnalyzeConfig(
         data=str(fixture), schema=str(schema_path), seed=7,
-        out_dir=str(tmp_path),
     )  # defaults: 250 epochs, 100 propensity epochs
     analysis = cli.run_sleep_analysis(data, cfg)
     cli.write_analysis_outputs(analysis, data, tmp_path)

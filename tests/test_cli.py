@@ -652,6 +652,14 @@ class TestBadSettingsExitBeforeAnyFit:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [SMALL_SIMULATE, SMALL_ANALYZE], ids=["simulate", "analyze"])
+    def test_infinite_lr_exits_2_and_nothing_written(self, argv, tmp_path, capsys):
+        # an infinite step size would drive every fit into divergence
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--lr", "inf", "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert "config error: lr must be > 0 and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_settings_validate_at_construction(self):
         from deepcate import harness
 

@@ -134,3 +134,16 @@ class TestFlatParameters:
         net = nn.init_network([nn.LayerSpec(3, 4, "relu"), nn.LayerSpec(4, 2, "identity")], seed=3)
         with pytest.raises(ValueError, match="do not match"):
             dataclasses.replace(net, weights=(net.weights[0].T, net.weights[1]))
+
+    def test_rejects_layers_that_do_not_chain(self):
+        # every array fits its own layer, but the second layer reads 5
+        # columns of the first layer's 4
+        specs = (nn.LayerSpec(3, 4, "relu"), nn.LayerSpec(5, 2, "identity"))
+        weights = (np.zeros((3, 4)), np.zeros((5, 2)))
+        biases = (np.zeros(4), np.zeros(2))
+        with pytest.raises(ValueError, match="^layer dims do not chain: 4 -> 5$"):
+            nn.MlpNetwork(specs, weights, biases, 0)
+
+    def test_rejects_an_empty_layer_stack(self):
+        with pytest.raises(ValueError, match="^need at least one layer$"):
+            nn.MlpNetwork((), (), (), 0)

@@ -508,6 +508,36 @@ class TestLoadModelValidation:
         with pytest.raises(ValueError, match=r"beta_net\.rng_seed must be an integer"):
             self._load(payload, tmp_path / "m.json")
 
+    def test_layers_that_do_not_chain_rejected(self, fitted_models, tmp_path):
+        # the second layer reads 7 inputs and its weights have 7 rows, so
+        # every shape fits its own layer, but the first layer gives 30
+        payload = self._dump(fitted_models["bcf"], tmp_path / "m.json")
+        payload["beta_net"]["layers"][1]["in_dim"] = 7
+        payload["beta_net"]["weights"][1] = payload["beta_net"]["weights"][1][:7]
+        with pytest.raises(ValueError, match=r"^model field beta_net: layer dims do not chain: 30 -> 7$"):
+            self._load(payload, tmp_path / "m.json")
+
+    def test_empty_layer_list_rejected(self, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["shared"], tmp_path / "m.json")
+        payload["net"].update(layers=[], weights=[], biases=[])
+        with pytest.raises(ValueError, match=r"^model field net: need at least one layer$"):
+            self._load(payload, tmp_path / "m.json")
+
+    def test_boolean_layer_dim_rejected(self, fitted_models, tmp_path):
+        # weights with one input row fit in_dim True == 1, so only the
+        # integer rule stops this file
+        payload = self._dump(fitted_models["shared"], tmp_path / "m.json")
+        payload["net"]["layers"][0]["in_dim"] = True
+        payload["net"]["weights"][0] = payload["net"]["weights"][0][:1]
+        with pytest.raises(ValueError, match=r"net\.layers: layer dims must be integers"):
+            self._load(payload, tmp_path / "m.json")
+
+    def test_boolean_rng_seed_rejected(self, fitted_models, tmp_path):
+        payload = self._dump(fitted_models["bcf"], tmp_path / "m.json")
+        payload["beta_net"]["rng_seed"] = True
+        with pytest.raises(ValueError, match=r"beta_net\.rng_seed must be an integer, got True"):
+            self._load(payload, tmp_path / "m.json")
+
     def test_unknown_type_not_saved(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize"):
             models.save_model(object(), tmp_path / "m.json")

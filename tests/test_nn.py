@@ -47,6 +47,19 @@ class TestLayerSpec:
     def test_accepts_numpy_integer_dims(self):
         assert nn.LayerSpec(np.int64(2), np.int32(3)) == nn.LayerSpec(2, 3)
 
+    @pytest.mark.parametrize("dims", [(True, 3), (3, True), (2, False), (np.True_, 3)])
+    def test_rejects_boolean_dims(self, dims):
+        # True == 1 to Python, so a JSON true would otherwise pass as a width
+        with pytest.raises(ValueError, match="layer dims must be integers"):
+            nn.LayerSpec(*dims)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan")])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be > 0 and finite"):
+            nn.TrainConfig(lr=lr)
+
 
 class TestInit:
     def test_shared_architecture_has_3280_params(self):
